@@ -1,0 +1,11 @@
+"""perfbench's own tests: ``python -m pytest perfbench/tests``.
+
+Not collected by Tier-1 (``testpaths = ["tests"]``)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
