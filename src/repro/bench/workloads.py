@@ -31,9 +31,15 @@ memory footprint); the variant's parameters are recorded in
 from __future__ import annotations
 
 import fnmatch
-import posixpath
 import time
 from typing import Callable, Dict, List, Optional, Tuple
+
+from ..experiments.cluster import (
+    CLUSTER_PROTOCOLS,
+    build_cluster,
+    build_sharded_cluster,
+)
+from ..workloads import edit_compile
 
 __all__ = [
     "WORKLOAD_SCENARIOS",
@@ -44,66 +50,7 @@ __all__ = [
 ]
 
 
-# -- the per-client cluster workload ----------------------------------------
-
-
-def _cluster_client(kernel, home: str, iterations: int, file_blocks: int):
-    """One user's edit/compile loop (create, reread, keep, delete)."""
-    from ..fs.types import OpenMode
-
-    block = b"w" * 4096
-    yield from kernel.mkdir(home)
-    for i in range(iterations):
-        scratch = posixpath.join(home, "scratch%d" % i)
-        keeper = posixpath.join(home, "out%d" % i)
-        fd = yield from kernel.open(scratch, OpenMode.WRITE, create=True)
-        for _ in range(file_blocks):
-            yield from kernel.write(fd, block)
-        yield from kernel.close(fd)
-        fd = yield from kernel.open(scratch, OpenMode.READ)
-        while True:
-            data = yield from kernel.read(fd, 8192)
-            if not data:
-                break
-        yield from kernel.close(fd)
-        fd = yield from kernel.open(keeper, OpenMode.WRITE, create=True)
-        yield from kernel.write(fd, block)
-        yield from kernel.close(fd)
-        yield from kernel.unlink(scratch)
-        yield kernel.sim.timeout(0.2)
-
-
-def _sharded_user(kernel, home: str, prefix: str, iterations: int, file_blocks: int):
-    """The edit/compile loop over a sharded mount.  ``prefix`` keeps
-    per-client file names distinct when several clients share ``home``
-    (the hot-directory variant); the mkdir tolerates losing the
-    create race for the same reason."""
-    from ..fs import FileExists
-    from ..fs.types import OpenMode
-
-    block = b"w" * 4096
-    try:
-        yield from kernel.mkdir(home)
-    except FileExists:
-        pass
-    for i in range(iterations):
-        scratch = posixpath.join(home, "%sscratch%d" % (prefix, i))
-        keeper = posixpath.join(home, "%sout%d" % (prefix, i))
-        fd = yield from kernel.open(scratch, OpenMode.WRITE, create=True)
-        for _ in range(file_blocks):
-            yield from kernel.write(fd, block)
-        yield from kernel.close(fd)
-        fd = yield from kernel.open(scratch, OpenMode.READ)
-        while True:
-            data = yield from kernel.read(fd, 8192)
-            if not data:
-                break
-        yield from kernel.close(fd)
-        fd = yield from kernel.open(keeper, OpenMode.WRITE, create=True)
-        yield from kernel.write(fd, block)
-        yield from kernel.close(fd)
-        yield from kernel.unlink(scratch)
-        yield kernel.sim.timeout(0.2)
+# -- the N-client load points -------------------------------------------------
 
 
 def sharded_point(
@@ -125,8 +72,6 @@ def sharded_point(
     directory owned by shard 0, which re-serializes the whole load on
     one server no matter how many shards exist.
     """
-    from ..experiments.sharded import build_sharded_cluster
-
     if hot_dir:
         assignments = {"shared": 0}
     else:
@@ -140,20 +85,12 @@ def sharded_point(
         seed=seed,
     )
     t0 = bed.sim.now
-    coros = []
-    for i, host in enumerate(bed.client_hosts):
-        if hot_dir:
-            coros.append(
-                _sharded_user(
-                    host.kernel, "/data/shared", "u%d." % i, iterations, file_blocks
-                )
-            )
-        else:
-            coros.append(
-                _sharded_user(
-                    host.kernel, "/data/user%d" % i, "", iterations, file_blocks
-                )
-            )
+    coros = [
+        edit_compile(kernel, "/data/shared", iterations, file_blocks, "u%d." % i)
+        if hot_dir
+        else edit_compile(kernel, "/data/user%d" % i, iterations, file_blocks)
+        for i, kernel in enumerate(bed.kernels)
+    ]
     bed.run_all(*coros, limit=1e6)
     return bed, bed.sim.now - t0
 
@@ -166,13 +103,11 @@ def cluster_point(
     seed: Optional[int] = None,
 ):
     """Run one (protocol, N) cluster workload; returns (bed, sim_seconds)."""
-    from ..experiments.cluster import build_cluster
-
     bed = build_cluster(protocol, n_clients, seed=seed)
     t0 = bed.sim.now
     coros = [
-        _cluster_client(host.kernel, "/data/user%d" % i, iterations, file_blocks)
-        for i, host in enumerate(bed.client_hosts)
+        edit_compile(kernel, "/data/user%d" % i, iterations, file_blocks)
+        for i, kernel in enumerate(bed.kernels)
     ]
     bed.run_all(*coros, limit=1e6)
     return bed, bed.sim.now - t0
@@ -235,7 +170,7 @@ def _run_sharded(
         bed, sim_seconds = sharded_point(
             protocol, n_shards, n_clients, iterations=iterations, hot_dir=hot_dir
         )
-        ops = sum(bed.total_rpcs_per_server().values()) + sum(
+        ops = bed.total_rpcs() + sum(
             d.stats.total()
             for host in bed.server_hosts
             for d in host.disks.values()
@@ -303,7 +238,6 @@ def _sweep_digest() -> str:
 # -- the suite ---------------------------------------------------------------
 
 CLUSTER_NS = (16, 64, 256)
-CLUSTER_PROTOCOLS = ("nfs", "snfs", "rfs", "kent", "lease")
 
 #: the large-N scaling points (full suite only): one iteration per
 #: client keeps a 4096-client simulation around a minute of wall clock

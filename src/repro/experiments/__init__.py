@@ -21,7 +21,14 @@ from .andrew import (
     andrew_table_5_2,
     run_andrew,
 )
-from .cluster import PROTOCOLS, Testbed, build_testbed
+from .bed import PROTOCOL_REGISTRY, Bed, ProtocolSpec, build_bed, drive
+from .cluster import (
+    PROTOCOLS,
+    Testbed,
+    build_cluster,
+    build_sharded_cluster,
+    build_testbed,
+)
 from .consistency import ConsistencyOutcome, consistency_table, run_consistency
 from .figures import FigureData, figure_series, render_figure
 from .lifetimes import LifetimePoint, lifetime_sweep, run_lifetime_point
@@ -34,7 +41,6 @@ from .resilience import (
     run_resilience,
 )
 from .scaling import ScalingPoint, run_scaling_point, scaling_table
-from .sharded import ShardedBed, build_sharded_cluster
 from .traced import TracedRun, run_traced_andrew, small_tree
 from .sort import (
     SORT_SIZES,
@@ -97,6 +103,11 @@ __all__ = [
     "ResilienceRun",
     "resilience_table",
     "run_resilience",
-    "ShardedBed",
+    "build_cluster",
     "build_sharded_cluster",
+    "PROTOCOL_REGISTRY",
+    "ProtocolSpec",
+    "Bed",
+    "build_bed",
+    "drive",
 ]

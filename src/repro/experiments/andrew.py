@@ -112,7 +112,7 @@ def run_andrew(
         protocol=protocol,
         remote_tmp=remote_tmp,
         result=result,
-        rpc_rows=bed.client_rpc_rows() if protocol != "local" else {},
+        rpc_rows=bed.client_rpc_rows() if bed.server is not None else {},
         server_disk=bed.server_disk_stats(),
     )
     if sampler is not None:

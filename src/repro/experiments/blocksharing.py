@@ -14,12 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..fs.types import OpenMode
-from ..host import Host, HostConfig
-from ..kent import KentClient, KentServer
 from ..metrics import format_table
-from ..net import Network
-from ..sim import AllOf, Simulator
-from ..snfs import SnfsClient, SnfsServer
+from .bed import build_bed
 
 __all__ = ["BlockSharingResult", "run_block_sharing", "block_sharing_table"]
 
@@ -32,50 +28,12 @@ class BlockSharingResult:
     data_rpcs: int
 
 
-def _build(protocol: str):
-    sim = Simulator()
-    network = Network(sim)
-    server_host = Host(sim, network, "server", HostConfig.titan_server())
-    export = server_host.add_local_fs("/export", fsid="exportfs")
-    if protocol == "snfs":
-        SnfsServer(server_host, export)
-        client_cls = SnfsClient
-    elif protocol == "kent":
-        KentServer(server_host, export)
-        client_cls = KentClient
-    else:
-        raise ValueError(protocol)
-    kernels = []
-    hosts = []
-    for i in range(2):
-        host = Host(sim, network, "client%d" % i, HostConfig.titan_client())
-        client = client_cls("m%d" % i, host, "server")
-        _drive(sim, client.attach())
-        host.kernel.mount("/data", client)
-        kernels.append(host.kernel)
-        hosts.append(host)
-    return sim, kernels, hosts
-
-
-def _drive(sim, gen):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=1e6)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
-
-
 def run_block_sharing(
     protocol: str, rounds: int = 30, think_time: float = 0.1
 ) -> BlockSharingResult:
     """Two clients ping their own disjoint 4 KB pages of one file."""
-    sim, kernels, hosts = _build(protocol)
+    bed = build_bed(protocol, 2, update_daemons=False)
+    sim, kernels = bed.sim, bed.kernels
 
     def actor(idx, offset):
         k = kernels[idx]
@@ -91,21 +49,11 @@ def run_block_sharing(
         yield from k.close(fd)
 
     t0 = sim.now
-    procs = [
-        sim.spawn(actor(0, 0)),
-        sim.spawn(actor(1, 8192)),
-    ]
-    gate = AllOf(sim, procs)
-    gate.defuse()
-    sim.run_until(gate, limit=1e6)
-    for proc in procs:
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
+    bed.run_all(actor(0, 0), actor(1, 8192), limit=1e6)
     elapsed = sim.now - t0
 
     total = data = 0
-    for host in hosts:
+    for host in bed.client_hosts:
         stats = host.rpc.client_stats.as_dict()
         for proc_name, count in stats.items():
             if proc_name.endswith(".retransmit"):

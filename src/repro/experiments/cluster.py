@@ -21,26 +21,25 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..host import Host, HostConfig
-from ..kent import KentClient, KentServer
-from ..lease import LeaseClient, LeaseServer
 from ..net import Network, NetworkConfig
-from ..nfs import NfsClient, NfsClientConfig, NfsServer, classify_ops
-from ..rfs import RfsClient, RfsServer
+from ..nfs import classify_ops
+from ..proto.shard import ShardMap
 from ..sim import Simulator
-from ..snfs import SnfsClient, SnfsClientConfig, SnfsServer
+from .bed import PROTOCOL_REGISTRY, Bed, build_bed, drive
 
 __all__ = [
     "Testbed",
     "build_testbed",
     "PROTOCOLS",
-    "ClusterBed",
+    "CLUSTER_PROTOCOLS",
     "build_cluster",
+    "build_sharded_cluster",
 ]
 
-PROTOCOLS = ("local", "nfs", "snfs", "rfs", "kent", "lease")
-
 #: protocols that can serve an N-client cluster (everything remote)
-CLUSTER_PROTOCOLS = ("nfs", "snfs", "rfs", "kent", "lease")
+CLUSTER_PROTOCOLS = tuple(PROTOCOL_REGISTRY)
+
+PROTOCOLS = ("local",) + CLUSTER_PROTOCOLS
 
 
 @dataclass
@@ -56,42 +55,11 @@ class Testbed:
 
     def run(self, coro, limit: float = 1e7):
         """Drive one coroutine to completion (daemons keep running)."""
-        box = {}
-
-        def wrapper():
-            box["value"] = yield from coro
-
-        proc = self.sim.spawn(wrapper(), name="workload")
-        self.sim.run_until(proc, limit=limit)
-        if not proc.triggered:
-            raise TimeoutError("workload did not finish before %g" % limit)
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
-        return box.get("value")
+        return drive(self.sim, [coro], limit)[0]
 
     def run_all(self, *coros, limit: float = 1e7):
-        from ..sim import AllOf
-
-        procs = [self.sim.spawn(self._wrap(c)) for c in coros]
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        out = []
-        for proc in procs:
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
-            out.append(proc.value)
-        return out
-
-    @staticmethod
-    def _wrap(coro):
-        def wrapper():
-            result = yield from coro
-            return result
-
-        return wrapper()
+        """Drive several coroutines concurrently to completion."""
+        return drive(self.sim, coros, limit)
 
     # -- measurement helpers ---------------------------------------------
 
@@ -157,6 +125,7 @@ def build_testbed(
     """
     if protocol not in PROTOCOLS:
         raise ValueError("unknown protocol %r" % protocol)
+    spec = PROTOCOL_REGISTRY.get(protocol)  # None: the local column
     sim = Simulator()
     net_cfg = network_config or NetworkConfig()
     if seed is not None:
@@ -172,23 +141,25 @@ def build_testbed(
     )
     # /input always lives on a client-local disk
     client.add_local_fs("/input", fsid="inputfs", disk_name="inputdisk")
+    testbed = Testbed(
+        sim=sim,
+        network=network,
+        client=client,
+        server_host=None,
+        server=None,
+        protocol=protocol,
+        remote_tmp=remote_tmp and spec is not None,
+    )
 
-    if protocol == "local":
-        testbed = Testbed(
-            sim=sim,
-            network=network,
-            client=client,
-            server_host=None,
-            server=None,
-            protocol=protocol,
-            remote_tmp=False,
+    if spec is None:
+        testbed.mounts["/data"] = client.add_local_fs(
+            "/data", fsid="datafs", disk_name="datadisk"
         )
-        data_mount = client.add_local_fs("/data", fsid="datafs", disk_name="datadisk")
-        tmp_mount = client.add_local_fs("/tmp", fsid="tmpfs", disk_name="datadisk")
-        testbed.mounts["/data"] = data_mount
-        testbed.mounts["/tmp"] = tmp_mount
+        testbed.mounts["/tmp"] = client.add_local_fs(
+            "/tmp", fsid="tmpfs", disk_name="datadisk"
+        )
     else:
-        server_host = Host(
+        server_host = testbed.server_host = Host(
             sim,
             network,
             "server",
@@ -196,35 +167,10 @@ def build_testbed(
             keep_call_times=keep_call_times,
             seed=seed,
         )
-        testbed = Testbed(
-            sim=sim,
-            network=network,
-            client=client,
-            server_host=server_host,
-            server=None,
-            protocol=protocol,
-            remote_tmp=remote_tmp,
-        )
         # both exports live in one filesystem on the server's one disk:
         # /export/data and /export/tmp, served by a single server object
         export = server_host.add_local_fs("/export", fsid="exportfs")
-        if protocol == "nfs":
-            server = NfsServer(server_host, export)
-            default_cfg = NfsClientConfig()
-        elif protocol == "snfs":
-            server = SnfsServer(server_host, export, max_open_files=max_open_files)
-            default_cfg = SnfsClientConfig()
-        elif protocol == "kent":
-            server = KentServer(server_host, export)
-            default_cfg = None
-        elif protocol == "lease":
-            server = LeaseServer(server_host, export)
-            default_cfg = None
-        else:
-            server = RfsServer(server_host, export)
-            default_cfg = None
-        testbed.server = server
-        cfg = client_config if client_config is not None else default_cfg
+        testbed.server = spec.make_server(server_host, export, max_open_files)
 
         def setup():
             yield from server_host.kernel.mkdir("/export/data")
@@ -232,7 +178,9 @@ def build_testbed(
 
         testbed.run(setup())
 
-        root_client = _make_client(protocol, "root", client, "server", cfg)
+        root_client = spec.client(
+            "%s:root" % protocol, client, "server", config=client_config
+        )
         testbed.run(root_client.attach())
         # mount subdirectories of the export at /data and /tmp
         data_root = testbed.run(
@@ -245,55 +193,15 @@ def build_testbed(
             client.kernel.mount("/tmp", _SubtreeMount(root_client, tmp_root))
             testbed.mounts["/tmp"] = root_client
         else:
-            tmp_mount = client.add_local_fs("/tmp", fsid="tmpfs", disk_name="tmpdisk")
-            testbed.mounts["/tmp"] = tmp_mount
+            testbed.mounts["/tmp"] = client.add_local_fs(
+                "/tmp", fsid="tmpfs", disk_name="tmpdisk"
+            )
 
     if update_daemons:
         client.update_daemon.start()
         if testbed.server_host is not None:
             testbed.server_host.update_daemon.start()
     return testbed
-
-
-@dataclass
-class ClusterBed:
-    """One server and N clients on a shared LAN, any remote protocol."""
-
-    sim: Simulator
-    network: Network
-    server_host: Host
-    server: Any
-    protocol: str
-    client_hosts: list
-
-    @property
-    def kernels(self):
-        return [host.kernel for host in self.client_hosts]
-
-    def run_all(self, *coros, limit: float = 1e7):
-        """Drive several coroutines concurrently to completion."""
-        from ..sim import AllOf
-
-        procs = [self.sim.spawn(Testbed._wrap(c)) for c in coros]
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        out = []
-        for proc in procs:
-            if not proc.triggered:
-                raise TimeoutError("cluster workload did not finish before %g" % limit)
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
-            out.append(proc.value)
-        return out
-
-    def total_rpcs(self) -> int:
-        """RPCs served by the server plus callbacks it issued."""
-        return (
-            self.server_host.rpc.server_stats.total()
-            + self.server_host.rpc.client_stats.total()
-        )
 
 
 def build_cluster(
@@ -304,96 +212,48 @@ def build_cluster(
     network_config: Optional[NetworkConfig] = None,
     max_open_files: Optional[int] = None,
     seed: Optional[int] = None,
-) -> ClusterBed:
-    """Build an N-client single-server cluster for any remote protocol.
-
-    This is the testbed behind the scaling experiment and the cluster
-    benchmark sweep: one server exporting one filesystem, ``n_clients``
-    hosts each mounting it at ``/data`` with their own update daemon.
-    """
-    if protocol not in CLUSTER_PROTOCOLS:
-        raise ValueError(
-            "cluster protocol must be one of %s, got %r"
-            % (", ".join(CLUSTER_PROTOCOLS), protocol)
-        )
-    sim = Simulator()
-    net_cfg = network_config or NetworkConfig()
-    if seed is not None:
-        net_cfg = dataclasses.replace(net_cfg, seed=seed)
-    network = Network(sim, net_cfg)
-    server_host = Host(
-        sim,
-        network,
-        "server",
-        server_config or HostConfig.titan_server(),
+) -> Bed:
+    """An N-client single-server cluster: :func:`build_bed` with no
+    shard map (the scaling experiment and the cluster benchmark sweep)."""
+    return build_bed(
+        protocol,
+        n_clients,
+        host_config=host_config,
+        server_config=server_config,
+        network_config=network_config,
+        max_open_files=max_open_files,
         seed=seed,
     )
-    export = server_host.add_local_fs("/export", fsid="exportfs")
-    if max_open_files is None:
-        max_open_files = max(4000, 64 * n_clients)
-    if protocol == "nfs":
-        server = NfsServer(server_host, export)
-    elif protocol == "snfs":
-        server = SnfsServer(server_host, export, max_open_files=max_open_files)
-    elif protocol == "rfs":
-        server = RfsServer(server_host, export)
-    elif protocol == "kent":
-        server = KentServer(server_host, export)
-    else:
-        server = LeaseServer(server_host, export)
-    server_host.update_daemon.start()
 
-    bed = ClusterBed(
-        sim=sim,
-        network=network,
-        server_host=server_host,
-        server=server,
-        protocol=protocol,
-        client_hosts=[],
+
+def build_sharded_cluster(
+    protocol: str,
+    n_shards: int,
+    n_clients: int,
+    strategy: str = "hash",
+    assignments: Optional[Dict[str, int]] = None,
+    client_config=None,
+    host_config: Optional[HostConfig] = None,
+    server_config: Optional[HostConfig] = None,
+    network_config: Optional[NetworkConfig] = None,
+    seed: Optional[int] = None,
+    with_oracle: bool = False,
+    max_open_files: Optional[int] = None,
+) -> Bed:
+    """``n_shards`` servers behind one tree: :func:`build_bed` with a
+    :class:`ShardMap` built from ``strategy`` and ``assignments``."""
+    return build_bed(
+        protocol,
+        n_clients,
+        ShardMap(n_shards, strategy=strategy, assignments=assignments),
+        client_config=client_config,
+        host_config=host_config,
+        server_config=server_config,
+        network_config=network_config,
+        seed=seed,
+        with_oracle=with_oracle,
+        max_open_files=max_open_files,
     )
-    for i in range(n_clients):
-        host = Host(
-            sim,
-            network,
-            "client%d" % i,
-            host_config or HostConfig.titan_client(),
-            seed=seed,
-        )
-        client = _make_client(protocol, "m%d" % i, host, "server", None)
-        _drive_to_completion(sim, client.attach())
-        host.kernel.mount("/data", client)
-        host.update_daemon.start()
-        bed.client_hosts.append(host)
-    return bed
-
-
-def _drive_to_completion(sim, gen, limit: float = 1e6):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=limit)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
-
-
-def _make_client(protocol, tag, host, server_addr, cfg):
-    mount_id = "%s:%s" % (protocol, tag)
-    if protocol == "nfs":
-        return NfsClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "snfs":
-        return SnfsClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "rfs":
-        return RfsClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "kent":
-        return KentClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "lease":
-        return LeaseClient(mount_id, host, server_addr, config=cfg)
-    raise ValueError(protocol)
 
 
 class _SubtreeMount:

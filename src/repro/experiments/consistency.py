@@ -12,16 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..host import Host, HostConfig
 from ..metrics import format_table
-from ..net import Network
-from ..kent import KentClient, KentServer
-from ..lease import LeaseClient, LeaseServer
-from ..nfs import NfsClient, NfsServer
-from ..rfs import RfsClient, RfsServer
-from ..sim import AllOf, Simulator
-from ..snfs import SnfsClient, SnfsServer
 from ..workloads import SharingResult, run_sharing_experiment
+from .bed import build_bed
 
 __all__ = ["ConsistencyOutcome", "run_consistency", "consistency_table"]
 
@@ -51,76 +44,27 @@ def run_consistency(
     read_period: float = 1.0,
 ) -> ConsistencyOutcome:
     """Two clients write-share one file under the given protocol."""
-    sim = Simulator()
-    network = Network(sim)
-    server_host = Host(sim, network, "server", HostConfig.titan_server())
-    export = server_host.add_local_fs("/export", fsid="exportfs")
-    if protocol == "nfs":
-        server = NfsServer(server_host, export)
-    elif protocol == "snfs":
-        server = SnfsServer(server_host, export)
-    elif protocol == "rfs":
-        server = RfsServer(server_host, export)
-    elif protocol == "kent":
-        server = KentServer(server_host, export)
-    elif protocol == "lease":
-        server = LeaseServer(server_host, export)
-    else:
-        raise ValueError(protocol)
-
-    hosts = []
-    for i in range(2):
-        host = Host(sim, network, "client%d" % i, HostConfig.titan_client())
-        if protocol == "nfs":
-            client = NfsClient("m%d" % i, host, "server")
-        elif protocol == "snfs":
-            client = SnfsClient("m%d" % i, host, "server")
-        elif protocol == "kent":
-            client = KentClient("m%d" % i, host, "server")
-        elif protocol == "lease":
-            client = LeaseClient("m%d" % i, host, "server")
-        else:
-            client = RfsClient("m%d" % i, host, "server")
-        _run_one(sim, client.attach())
-        host.kernel.mount("/data", client)
-        hosts.append(host)
-
+    bed = build_bed(protocol, 2, update_daemons=False)
     writer_proc, reader_proc, result = run_sharing_experiment(
-        sim,
-        hosts[0].kernel,
-        hosts[1].kernel,
+        bed.sim,
+        bed.kernels[0],
+        bed.kernels[1],
         "/data/shared",
         n_updates=n_updates,
         write_period=write_period,
         read_period=read_period,
     )
-    gate = AllOf(sim, [writer_proc, reader_proc])
-    gate.defuse()
-    sim.run_until(gate, limit=1e6)
-    for proc in (writer_proc, reader_proc):
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
+
+    def both_finish():
+        yield bed.sim.all_of([writer_proc, reader_proc])
+
+    bed.run(both_finish(), limit=1e6)
     rpc_calls = 0
-    for host in hosts + [server_host]:
+    for host in bed.client_hosts + bed.server_hosts:
         for name, count in sorted(host.rpc.client_stats.as_dict().items()):
             if not name.endswith(".mnt"):
                 rpc_calls += count
     return ConsistencyOutcome(protocol=protocol, result=result, rpc_calls=rpc_calls)
-
-
-def _run_one(sim, coro):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from coro
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=1e6)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
 
 
 def consistency_table(protocols=("nfs", "rfs", "snfs", "kent", "lease")) -> Tuple[str, List[ConsistencyOutcome]]:

@@ -116,7 +116,7 @@ def figure_series(
 def render_figure(data: FigureData, width: int = 50) -> str:
     """ASCII rendering of the four panels."""
     title = "Figure 5-%s: server utilization and call rates for %s" % (
-        "1" if data.protocol == "nfs" else "2",
+        {"nfs": "1"}.get(data.protocol, "2"),
         data.protocol.upper(),
     )
     peak_rate = max(

@@ -27,28 +27,26 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..faults import (
-    ConsistencyOracle,
     CrashReboot,
     DiskFault,
-    FaultInjector,
     FaultPlan,
     LossBurst,
     Partition,
     SlowDisk,
 )
 from ..fs.types import OpenMode
-from ..host import Host, HostConfig
-from ..kent import KentClient, KentServer
-from ..lease import LeaseClient, LeaseServer
 from ..metrics import format_table
-from ..net import Network, NetworkConfig
-from ..nfs import NfsClient, NfsClientConfig, NfsServer
-from ..rfs import RfsClient, RfsServer
-from ..sim import Simulator
-from ..snfs import SnfsClient, SnfsClientConfig, SnfsServer
+from ..proto.config import RemoteFsConfig
 from ..workloads import AndrewBenchmark, make_tree
+from .bed import Bed, build_bed
 
-__all__ = ["ResilienceBed", "ResilienceRun", "resilience_table", "run_resilience"]
+__all__ = [
+    "ResilienceBed",
+    "ResilienceRun",
+    "resilience_table",
+    "run_resilience",
+    "sharing_client_config",
+]
 
 _RECORD = 64
 
@@ -67,128 +65,34 @@ class ResilienceRun:
         return not any(self.verdicts.values())
 
 
-class ResilienceBed:
-    """A server plus N clients with fault injection and an oracle.
+def ResilienceBed(  # noqa: N802 - the fault-injection bed's historical name
+    protocol: str, n_clients: int = 1, seed: int = 1, client_config=None
+) -> Bed:
+    """A server plus N clients built to be abused: :func:`build_bed`
+    with every host's disks and the network hanging off a
+    :class:`FaultInjector`, every client kernel and the server feeding a
+    :class:`ConsistencyOracle`, a local ``/tmp`` per client, and the
+    whole thing derived from one seed."""
+    return build_bed(
+        protocol, n_clients, seed=seed, client_config=client_config,
+        local_tmp=True, with_oracle=True,
+    )
 
-    Unlike :class:`~repro.experiments.cluster.Testbed` (one client,
-    benchmark-shaped mounts) this bed exists to be abused: every host's
-    disks and the network hang off a :class:`FaultInjector`, every
-    client kernel and the server feed a :class:`ConsistencyOracle`, and
-    the whole thing is derived from one seed.
-    """
 
-    def __init__(
-        self,
-        protocol: str,
-        n_clients: int = 1,
-        seed: int = 1,
-        client_config=None,
-    ):
-        self.protocol = protocol
-        self.sim = Simulator()
-        self.network = Network(self.sim, NetworkConfig(seed=seed))
-        self.server_host = Host(
-            self.sim, self.network, "server", HostConfig.titan_server(), seed=seed
-        )
-        self.export = self.server_host.add_local_fs("/export", fsid="exportfs")
-        if protocol == "nfs":
-            self.server = NfsServer(self.server_host, self.export)
-            default_cfg = NfsClientConfig()
-        elif protocol == "snfs":
-            self.server = SnfsServer(self.server_host, self.export)
-            default_cfg = SnfsClientConfig()
-        elif protocol == "rfs":
-            self.server = RfsServer(self.server_host, self.export)
-            default_cfg = None
-        elif protocol == "kent":
-            self.server = KentServer(self.server_host, self.export)
-            default_cfg = None
-        elif protocol == "lease":
-            self.server = LeaseServer(self.server_host, self.export)
-            default_cfg = None
-        else:
-            raise ValueError("unknown protocol %r" % protocol)
-        cfg = client_config if client_config is not None else default_cfg
+#: NFS client knobs for the sharing scenarios: the era-accurate
+#: consistency configuration — attribute-cache open checks with no
+#: forced getattr and no invalidate-on-close — which is precisely the
+#: setup whose staleness window the paper's §2.1/§2.3 discussion targets
+_SHARING_KNOBS = {
+    "nfs": dict(getattr_on_open=False, invalidate_on_close=False, name_cache_ttl=30.0),
+}
 
-        self.clients: List[Host] = []
-        self.mounts: List[object] = []
-        for i in range(n_clients):
-            host = Host(
-                self.sim,
-                self.network,
-                "client%d" % i,
-                HostConfig.titan_client(),
-                seed=seed + i + 1,
-            )
-            host.add_local_fs("/tmp", fsid="tmpfs%d" % i, disk_name="tmpdisk")
-            mount_id = "%s%d" % (protocol, i)
-            if protocol == "nfs":
-                client = NfsClient(mount_id, host, "server", config=cfg)
-            elif protocol == "snfs":
-                client = SnfsClient(mount_id, host, "server", config=cfg)
-            elif protocol == "kent":
-                client = KentClient(mount_id, host, "server", config=cfg)
-            elif protocol == "lease":
-                client = LeaseClient(mount_id, host, "server", config=cfg)
-            else:
-                client = RfsClient(mount_id, host, "server", config=cfg)
-            self.run(client.attach())
-            host.kernel.mount("/data", client)
-            host.update_daemon.start()
-            self.clients.append(host)
-            self.mounts.append(client)
 
-        self.oracle = ConsistencyOracle()
-        for host in self.clients:
-            self.oracle.watch_kernel(host.kernel)
-        self.oracle.watch_server(self.server)
-
-        disks = {}
-        targets: Dict[str, object] = {"server": self.server_host}
-        for host in [self.server_host] + self.clients:
-            targets[host.name] = host
-            for disk in host.disks.values():
-                disks[disk.name] = disk
-        self.injector = FaultInjector(
-            self.sim, network=self.network, disks=disks, targets=targets
-        )
-
-    def run(self, coro, limit: float = 1e7):
-        """Drive one coroutine to completion (daemons keep running)."""
-        box = {}
-
-        def wrapper():
-            box["value"] = yield from coro
-
-        proc = self.sim.spawn(wrapper(), name="workload")
-        self.sim.run_until(proc, limit=limit)
-        if not proc.triggered:
-            raise TimeoutError("workload did not finish before %g" % limit)
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
-        return box.get("value")
-
-    def run_all(self, *coros, limit: float = 1e7):
-        from ..sim import AllOf
-
-        procs = [self.sim.spawn(c, name="workload") for c in coros]
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        for proc in procs:
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
-
-    def final_checks(self) -> None:
-        """Flush delayed writes, then run the end-of-run oracle checks."""
-        for host in self.clients:
-            if not host.crashed:
-                self.run(host.kernel.sync())
-        if self.protocol == "snfs":
-            self.oracle.check_state_agreement(self.server, self.mounts)
-        self.oracle.check_lost_acked_writes()
+def sharing_client_config(protocol: str) -> Optional[RemoteFsConfig]:
+    """The client config the write-sharing scenarios (here and in the
+    nemesis matrix) mount ``protocol`` with; None means its default."""
+    knobs = _SHARING_KNOBS.get(protocol)
+    return None if knobs is None else RemoteFsConfig(**knobs)
 
 
 # -- sequential write-sharing ------------------------------------------------
@@ -213,21 +117,14 @@ def run_sharing(
     write_period: float = 4.0,
     read_period: float = 1.0,
 ) -> ResilienceRun:
-    """Sequential write-sharing between two clients, optionally faulted.
-
-    The NFS clients run the era-accurate consistency configuration —
-    attribute-cache open checks with no forced getattr and no
-    invalidate-on-close — which is precisely the setup whose staleness
-    window the paper's §2.1/§2.3 discussion targets.
-    """
-    cfg = None
-    if protocol == "nfs":
-        cfg = NfsClientConfig(
-            getattr_on_open=False, invalidate_on_close=False, name_cache_ttl=30.0
-        )
-    bed = ResilienceBed(protocol, n_clients=2, seed=seed, client_config=cfg)
+    """Sequential write-sharing between two clients, optionally faulted
+    (NFS in its era-accurate :func:`sharing_client_config`)."""
+    bed = ResilienceBed(
+        protocol, n_clients=2, seed=seed,
+        client_config=sharing_client_config(protocol),
+    )
     path = "/data/shared.dat"
-    bed.run(_write_record(bed.clients[0].kernel, path, 0, create=True))
+    bed.run(_write_record(bed.kernels[0], path, 0, create=True))
 
     if schedule == "faulted":
         plan = FaultPlan(
@@ -240,8 +137,8 @@ def run_sharing(
         bed.injector.install(plan)
 
     sim = bed.sim
-    writer_kernel = bed.clients[0].kernel
-    reader_kernel = bed.clients[1].kernel
+    writer_kernel = bed.kernels[0]
+    reader_kernel = bed.kernels[1]
     end_time = write_period * (n_updates + 1)
 
     def writer():
@@ -312,7 +209,7 @@ def run_resilience(
     """One Andrew run under one fault schedule, with oracle verdicts."""
     bed = ResilienceBed(protocol, n_clients=1, seed=seed)
     bench = AndrewBenchmark(
-        bed.clients[0].kernel,
+        bed.kernels[0],
         src_dir="/data/src",
         dst_dir="/data/dst",
         tmp_dir="/tmp",
@@ -320,11 +217,11 @@ def run_resilience(
     )
 
     def setup():
-        yield from bed.clients[0].kernel.mkdir("/data/src")
+        yield from bed.kernels[0].mkdir("/data/src")
         yield from bench.populate_source()
 
     bed.run(setup())
-    bed.run(bed.clients[0].kernel.sync())
+    bed.run(bed.kernels[0].sync())
 
     bed.injector.install(FaultPlan(events=events, seed=seed))
     t0 = bed.sim.now

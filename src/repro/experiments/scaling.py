@@ -16,17 +16,12 @@ read them back, delete the temporaries), and reports per-protocol:
 
 from __future__ import annotations
 
-import posixpath
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..fs.types import OpenMode
-from ..host import Host, HostConfig
 from ..metrics import format_table
-from ..net import Network
-from ..nfs import NfsClient, NfsServer
-from ..sim import AllOf, Simulator
-from ..snfs import SnfsClient, SnfsServer
+from ..workloads import edit_compile
+from .bed import build_bed
 
 __all__ = ["ScalingPoint", "run_scaling_point", "scaling_table"]
 
@@ -42,32 +37,6 @@ class ScalingPoint:
     total_rpcs: int
 
 
-def _client_workload(kernel, home: str, iterations: int, file_blocks: int):
-    """One user's loop: create, write, reread, flush one keeper, delete
-    the scratch — the edit/compile daily pattern."""
-    block = b"w" * 4096
-    yield from kernel.mkdir(home)
-    for i in range(iterations):
-        scratch = posixpath.join(home, "scratch%d" % i)
-        keeper = posixpath.join(home, "out%d" % i)
-        fd = yield from kernel.open(scratch, OpenMode.WRITE, create=True)
-        for _ in range(file_blocks):
-            yield from kernel.write(fd, block)
-        yield from kernel.close(fd)
-        fd = yield from kernel.open(scratch, OpenMode.READ)
-        while True:
-            data = yield from kernel.read(fd, 8192)
-            if not data:
-                break
-        yield from kernel.close(fd)
-        fd = yield from kernel.open(keeper, OpenMode.WRITE, create=True)
-        yield from kernel.write(fd, block)
-        yield from kernel.close(fd)
-        yield from kernel.unlink(scratch)
-        # a little think time between iterations
-        yield kernel.sim.timeout(0.2)
-
-
 def run_scaling_point(
     protocol: str,
     n_clients: int,
@@ -75,28 +44,8 @@ def run_scaling_point(
     file_blocks: int = 4,
 ) -> ScalingPoint:
     """One (protocol, N) measurement."""
-    sim = Simulator()
-    network = Network(sim)
-    server_host = Host(sim, network, "server", HostConfig.titan_server())
-    export = server_host.add_local_fs("/export", fsid="exportfs")
-    if protocol == "nfs":
-        NfsServer(server_host, export)
-        client_cls = NfsClient
-    elif protocol == "snfs":
-        SnfsServer(server_host, export, max_open_files=4000)
-        client_cls = SnfsClient
-    else:
-        raise ValueError(protocol)
-    server_host.update_daemon.start()
-
-    kernels = []
-    for i in range(n_clients):
-        host = Host(sim, network, "client%d" % i, HostConfig.titan_client())
-        client = client_cls("m%d" % i, host, "server")
-        _drive(sim, client.attach())
-        host.kernel.mount("/data", client)
-        host.update_daemon.start()
-        kernels.append(host.kernel)
+    bed = build_bed(protocol, n_clients)
+    sim, server_host = bed.sim, bed.server_host
 
     cpu_before = server_host.cpu.busy_time()
     disk = next(iter(server_host.disks.values()))
@@ -106,20 +55,11 @@ def run_scaling_point(
 
     finish_times: List[float] = []
 
-    def wrap(kernel, i):
-        yield from _client_workload(
-            kernel, "/data/user%d" % i, iterations, file_blocks
-        )
+    def timed(kernel, i):
+        yield from edit_compile(kernel, "/data/user%d" % i, iterations, file_blocks)
         finish_times.append(sim.now - t0)
 
-    procs = [sim.spawn(wrap(k, i)) for i, k in enumerate(kernels)]
-    gate = AllOf(sim, procs)
-    gate.defuse()
-    sim.run_until(gate, limit=1e6)
-    for proc in procs:
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
+    bed.run_all(*(timed(k, i) for i, k in enumerate(bed.kernels)), limit=1e6)
 
     elapsed = sim.now - t0
     return ScalingPoint(
@@ -131,20 +71,6 @@ def run_scaling_point(
         server_disk_utilization=(disk.busy_time() - disk_before) / elapsed,
         total_rpcs=server_host.rpc.server_stats.total() - rpc_before,
     )
-
-
-def _drive(sim, gen):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=1e6)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
 
 
 def scaling_table(

@@ -57,7 +57,7 @@ def run_sort(
     """Run the external sort once in the given configuration."""
     bed = build_testbed(
         protocol,
-        remote_tmp=(protocol != "local"),
+        remote_tmp=True,  # ignored by the local column
         client_config=client_config,
         update_daemons=update_enabled,
     )
@@ -96,7 +96,7 @@ def run_sort(
         input_bytes=input_bytes,
         update_enabled=update_enabled,
         result=result,
-        rpc_rows=bed.client_rpc_rows() if protocol != "local" else {},
+        rpc_rows=bed.client_rpc_rows() if bed.server is not None else {},
         server_disk=bed.server_disk_stats(),
         client_disk=bed.client_disk_stats(),
     )

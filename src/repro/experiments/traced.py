@@ -31,12 +31,10 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from ..fs.types import OpenMode
-from ..host import Host, HostConfig
-from ..net import Network, NetworkConfig
-from ..nfs import NfsClient, NfsServer
+from ..net import NetworkConfig
 from ..sim import Simulator
-from ..snfs import SnfsClient, SnfsServer
 from ..workloads import AndrewBenchmark, AndrewConfig, make_tree
+from .bed import build_bed
 
 __all__ = ["TracedRun", "run_traced_andrew", "small_tree"]
 
@@ -63,22 +61,6 @@ class TracedRun:
     result: Any  # AndrewResult
     epilogue_bytes: int  # bytes the second client read from a.out
     server_host: Any = None  # the server Host (RPC/disk counters)
-
-
-def _drive(sim: Simulator, gen, limit: float = 1e7):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper(), name="workload")
-    sim.run_until(proc, limit=limit)
-    if not proc.triggered:
-        raise TimeoutError("traced workload did not finish before %g" % limit)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
 
 
 def run_traced_andrew(
@@ -110,26 +92,11 @@ def run_traced_andrew(
     else:
         tracer, metrics = sim.tracer, sim.metrics
 
-    network = Network(sim, NetworkConfig(drop_rate=drop_rate, seed=seed))
-    server_host = Host(sim, network, "server", HostConfig.titan_server())
-    export = server_host.add_local_fs("/export", fsid="exportfs")
-    if protocol == "nfs":
-        NfsServer(server_host, export)
-        client_cls = NfsClient
-    else:
-        SnfsServer(server_host, export, max_open_files=4000)
-        client_cls = SnfsClient
-    server_host.update_daemon.start()
-
-    kernels = []
-    for i in range(2):
-        host = Host(sim, network, "client%d" % i, HostConfig.titan_client())
-        mount = client_cls("m%d" % i, host, "server")
-        _drive(sim, mount.attach())
-        host.kernel.mount("/data", mount)
-        host.add_local_fs("/tmp", fsid="tmpfs%d" % i, disk_name="tmpdisk")
-        host.update_daemon.start()
-        kernels.append(host.kernel)
+    bed = build_bed(
+        protocol, 2, sim=sim, local_tmp=True,
+        network_config=NetworkConfig(drop_rate=drop_rate, seed=seed),
+    )
+    kernels = bed.kernels
 
     bench = AndrewBenchmark(
         kernels[0],
@@ -144,8 +111,8 @@ def run_traced_andrew(
         yield from kernels[0].mkdir("/data/src")
         yield from bench.populate_source()
 
-    _drive(sim, setup())
-    result = _drive(sim, bench.run())
+    bed.run(setup())
+    result = bed.run(bench.run())
 
     # Epilogue: before the writer's 30-second delayed writes age out,
     # the second client reads the linked binary.  Under SNFS the server
@@ -163,7 +130,7 @@ def run_traced_andrew(
         finally:
             yield from kernel.close(fd)
 
-    _drive(sim, epilogue(kernels[1]))
+    bed.run(epilogue(kernels[1]))
 
     return TracedRun(
         protocol=protocol,
@@ -173,5 +140,5 @@ def run_traced_andrew(
         metrics=metrics,
         result=result,
         epilogue_bytes=read_bytes[0],
-        server_host=server_host,
+        server_host=bed.server_host,
     )

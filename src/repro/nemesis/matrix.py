@@ -30,10 +30,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..experiments.resilience import ResilienceBed
+from ..experiments.bed import PROTOCOL_REGISTRY
+from ..experiments.resilience import ResilienceBed, sharing_client_config
 from ..faults import FaultPlan
 from ..metrics import format_table
-from ..nfs import NfsClientConfig
 from .plans import NEMESIS_PLANS, plan_events
 from .workloads import NEMESIS_WORKLOADS, run_workload
 
@@ -53,7 +53,7 @@ __all__ = [
 
 NEMESIS_SCHEMA = "repro-nemesis/1"
 
-ALL_PROTOCOLS = ("nfs", "snfs", "rfs", "kent", "lease")
+ALL_PROTOCOLS = tuple(PROTOCOL_REGISTRY)
 
 #: violation kinds documented as allowed per protocol, always
 _ALLOWED_ALWAYS: Dict[str, frozenset] = {
@@ -152,15 +152,13 @@ def run_cell(protocol: str, workload: str, plan: str, seed: int) -> NemesisCell:
         seed=cseed, verdict="fail", allowed=sorted(allowed),
     )
 
-    cfg = None
-    if protocol == "nfs":
-        # the era-accurate consistency configuration whose staleness
-        # window §2.1/§2.3 argue against — the matrix documents it
-        cfg = NfsClientConfig(
-            getattr_on_open=False, invalidate_on_close=False, name_cache_ttl=30.0
-        )
     try:
-        bed = ResilienceBed(protocol, n_clients=2, seed=cseed, client_config=cfg)
+        # NFS mounts with the era-accurate configuration whose staleness
+        # window §2.1/§2.3 argue against — the matrix documents it
+        bed = ResilienceBed(
+            protocol, n_clients=2, seed=cseed,
+            client_config=sharing_client_config(protocol),
+        )
         metrics = bed.sim.enable_metrics()
         bed.injector.trace = True
         bed.injector.install(FaultPlan(events=plan_events(plan), seed=cseed))

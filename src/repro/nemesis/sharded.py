@@ -3,7 +3,7 @@ must not notice.
 
 The matrix (:mod:`repro.nemesis.matrix`) judges each protocol against
 one server.  These cells judge the *sharded* deployment story: a
-:func:`~repro.experiments.sharded.build_sharded_cluster` bed with one
+:func:`~repro.experiments.cluster.build_sharded_cluster` bed with one
 namespace split across three shard servers, where shard 0 is
 power-cycled twice — the second crash landing inside the first
 reboot's grace window — while writer/reader pairs keep committing
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..experiments.sharded import build_sharded_cluster
+from ..experiments.cluster import build_sharded_cluster
 from ..faults import FaultPlan
 from ..fs import FsError
 from ..fs.types import OpenMode

@@ -45,8 +45,8 @@ def run_seq_sharing(bed, n_updates: int = 10, write_period: float = 4.0,
                     read_period: float = 1.5) -> Dict[str, int]:
     """Writer commits records; reader polls until the last commit."""
     sim = bed.sim
-    writer_kernel = bed.clients[0].kernel
-    reader_kernel = bed.clients[1].kernel
+    writer_kernel = bed.kernels[0]
+    reader_kernel = bed.kernels[1]
     path = "/data/shared.dat"
     stats = {"writes": 0, "reads": 0, "app_errors": 0}
     state = {"done": False}
@@ -95,8 +95,8 @@ def run_seq_sharing(bed, n_updates: int = 10, write_period: float = 4.0,
 def run_meta_churn(bed, n_rounds: int = 12, period: float = 2.5) -> Dict[str, int]:
     """One client churns a directory's namespace; the other walks it."""
     sim = bed.sim
-    churn_kernel = bed.clients[0].kernel
-    walk_kernel = bed.clients[1].kernel
+    churn_kernel = bed.kernels[0]
+    walk_kernel = bed.kernels[1]
     stats = {"churn_ops": 0, "walk_ops": 0, "app_errors": 0}
     state = {"done": False}
 

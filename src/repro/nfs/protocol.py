@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..proto.procs import proc_namespace
+
 __all__ = [
     "PROC",
     "DATA_TRANSFER_OPS",
@@ -21,24 +23,9 @@ __all__ = [
 ]
 
 
-class PROC:
-    """NFS procedure names (shared by SNFS for the unchanged calls)."""
-
-    PREFIX = "nfs."
-
-    MNT = "nfs.mnt"  # mount protocol: export root handle
-    LOOKUP = "nfs.lookup"
-    GETATTR = "nfs.getattr"
-    SETATTR = "nfs.setattr"
-    READ = "nfs.read"
-    WRITE = "nfs.write"
-    CREATE = "nfs.create"
-    REMOVE = "nfs.remove"
-    RENAME = "nfs.rename"
-    LINK = "nfs.link"
-    MKDIR = "nfs.mkdir"
-    RMDIR = "nfs.rmdir"
-    READDIR = "nfs.readdir"
+PROC = proc_namespace(
+    "nfs", doc="NFS procedure names (shared by SNFS for the unchanged calls)."
+)
 
 
 #: operations that move file data (Table 5-2's "data transfer" rows)

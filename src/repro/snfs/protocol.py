@@ -19,36 +19,21 @@ hybrid client discovers a plain-NFS server by its rejection of ``open``
 
 from __future__ import annotations
 
+from ..proto.procs import proc_namespace
 
 __all__ = ["SPROC"]
 
 
-class SPROC:
-    """SNFS procedure names."""
-
-    PREFIX = "snfs."
-
-    MNT = "snfs.mnt"
-    LOOKUP = "snfs.lookup"
-    GETATTR = "snfs.getattr"
-    SETATTR = "snfs.setattr"
-    READ = "snfs.read"
-    WRITE = "snfs.write"
-    CREATE = "snfs.create"
-    REMOVE = "snfs.remove"
-    RENAME = "snfs.rename"
-    LINK = "snfs.link"
-    MKDIR = "snfs.mkdir"
-    RMDIR = "snfs.rmdir"
-    READDIR = "snfs.readdir"
-
+SPROC = proc_namespace(
+    "snfs",
+    doc="SNFS procedure names.",
     # the three additions
-    OPEN = "snfs.open"
-    CLOSE = "snfs.close"
-    CALLBACK = "snfs.callback"  # server -> client
-
+    OPEN="snfs.open",
+    CLOSE="snfs.close",
+    CALLBACK="snfs.callback",  # server -> client
     # crash-recovery extension (§2.4; implemented here, future work in
     # the paper)
-    PING = "snfs.ping"  # keepalive / reboot detection
-    REOPEN = "snfs.reopen"  # bulk state reassertion after a reboot
-    KEEPALIVE = "snfs.keepalive"  # server -> client liveness probe
+    PING="snfs.ping",  # keepalive / reboot detection
+    REOPEN="snfs.reopen",  # bulk state reassertion after a reboot
+    KEEPALIVE="snfs.keepalive",  # server -> client liveness probe
+)

@@ -1,6 +1,7 @@
 """Workloads: the paper's benchmarks, driven through the syscall layer."""
 
 from .andrew import AndrewBenchmark, AndrewConfig, AndrewResult
+from .editcompile import edit_compile
 from .lifetimes import LifetimeConfig, LifetimeResult, LifetimeWorkload
 from .microbench import ReadQuicklySlowly, WriteCloseReread
 from .sharing import SharingResult, run_sharing_experiment
@@ -16,6 +17,7 @@ __all__ = [
     "SortConfig",
     "SortResult",
     "make_input_records",
+    "edit_compile",
     "WriteCloseReread",
     "LifetimeWorkload",
     "LifetimeConfig",

@@ -53,7 +53,7 @@ def test_root_readdir_merges_all_shards():
     names = bed.run(k.readdir("/data"))
     assert "a" in names and "b" in names
     # the two directories really live on different servers
-    ns = bed.namespaces[0]
+    ns = bed.mounts[0]
     assert ns.table.resolve("a") is not ns.table.resolve("b")
 
 
@@ -120,7 +120,7 @@ def test_shard_map_change_purges_shared_dnlc():
         client_config=SnfsClientConfig(name_cache_ttl=30.0),
     )
     k = bed.kernels[0]
-    ns = bed.namespaces[0]
+    ns = bed.mounts[0]
     bed.run(k.mkdir("/data/a"))
     _write(bed, k, "/data/a/f", b"x")
     # plant a sentinel translation that no later lookup will repopulate
@@ -135,7 +135,7 @@ def test_shard_map_change_purges_shared_dnlc():
 
 def test_shard_mounts_share_one_dnlc():
     bed = build_sharded_cluster("snfs", n_shards=3, n_clients=1, seed=7)
-    ns = bed.namespaces[0]
+    ns = bed.mounts[0]
     caches = {id(m.dnlc) for m in ns.table.mounts()}
     assert len(caches) == 1
     assert ns.dnlc is ns.table.mounts()[0].dnlc
