@@ -37,7 +37,7 @@ def _prepare(bed, path: str):
     bed.run(setup())
     # measure from a cold client cache (the paper's scenario is a file
     # some other client produced — e.g. a source module being compiled)
-    bed.client.cache._buffers.clear()
+    bed.client.cache.clear()
     for g in list(bed.mounts["/data"].live_gnodes()):
         g.private.pop("attr", None)
         g.private.pop("attr_time", None)

@@ -127,7 +127,7 @@ class Host:
         self.update_daemon.stop()
         self.rpc.crash()
         # volatile memory gone:
-        self.cache._buffers.clear()
+        self.cache.clear()
         self.kernel.clear_volatile_state()
         for _prefix, fs in self.kernel.mounts():
             on_crash = getattr(fs, "on_host_crash", None)

@@ -69,28 +69,76 @@ class RpcProcedureError(RpcError):
     """
 
 
+def _fixed(obj: Any) -> int:
+    return 8
+
+
+# plain loops below: a generator expression costs a frame per message
+
+
+def _mapping(obj: Any) -> int:
+    total = 0
+    for k, v in obj.items():
+        total += estimate_size(k) + estimate_size(v)
+    return total
+
+
+def _items(obj: Any) -> int:
+    total = 0
+    for item in obj:
+        total += estimate_size(item)
+    return total
+
+
+def _record(names: Tuple[str, ...]) -> Callable[[Any], int]:
+    def sizer(obj: Any) -> int:
+        total = 0
+        for name in names:
+            total += estimate_size(getattr(obj, name))
+        return total
+
+    return sizer
+
+
+#: class -> the function that sizes its instances.  Exact builtin types
+#: are listed here; any other class is classified once, on first sight,
+#: by :func:`_sizer_for`.
+_SIZERS: Dict[type, Callable[[Any], int]] = {
+    bytes: len, bytearray: len, memoryview: len, str: len,
+    int: _fixed, bool: _fixed, float: _fixed,
+    dict: _mapping,
+    list: _items, tuple: _items, set: _items, frozenset: _items,
+}
+
+
+def _sizer_for(cls: type) -> Callable[[Any], int]:
+    if issubclass(cls, (bytes, bytearray, memoryview, str)):
+        sizer = len
+    elif issubclass(cls, dict):
+        sizer = _mapping
+    elif issubclass(cls, (list, tuple, set, frozenset)):
+        sizer = _items
+    elif dataclasses.is_dataclass(cls):
+        sizer = _record(tuple(f.name for f in dataclasses.fields(cls)))
+    else:
+        sizer = _fixed
+    _SIZERS[cls] = sizer
+    return sizer
+
+
 def estimate_size(obj: Any) -> int:
     """Rough wire size of a payload object, in bytes.
 
     bytes/bytearray count in full; strings count their encoded length;
     containers and dataclasses (attribute records, handles) recurse;
-    everything else (ints, flags) costs a fixed 8 bytes.
+    everything else (ints, flags, enums, classes) costs a fixed 8 bytes.
+    A pure function of the payload: the per-class table only remembers
+    which of those rules a class falls under.
     """
     if obj is None:
         return 0
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
-        return len(obj)
-    if isinstance(obj, dict):
-        return sum(estimate_size(k) + estimate_size(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(estimate_size(item) for item in obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return sum(
-            estimate_size(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        )
-    return 8
+    cls = type(obj)
+    return (_SIZERS.get(cls) or _sizer_for(cls))(obj)
 
 
 @dataclass

@@ -26,6 +26,12 @@ Scheduling internals (see docs/PERFORMANCE.md for the full story):
   numbers from one counter, and the run loop always executes the due
   entry with the smallest sequence number, so the interleaving is
   byte-identical to the historical single-heap order.
+* A *successful* trigger with no waiter schedules nothing: the entry it
+  used to queue called ``_dispatch(event, [])``, which runs no user
+  code.  Dropping it shifts every later sequence number by the same
+  amount, so no two entries change their relative order.  A *failed*
+  waiterless event still goes through ``_dispatch`` — that is where an
+  unhandled failure is raised out of the run.
 """
 
 from __future__ import annotations
@@ -418,11 +424,17 @@ class Simulator:
         event.callbacks = None
         if self.sanitizer is not None:
             self.sanitizer.on_trigger(event, len(callbacks))
-        if event._exception is None and len(callbacks) == 1:
-            # dominant case: one waiter, successful trigger — dispatch
-            # the callback directly, skipping _dispatch's bookkeeping
-            self._ready.append((next(self._counter), callbacks[0], (event,)))
-            return
+        if event._exception is None:
+            if not callbacks:
+                # nobody is waiting and nothing failed (an uncontended
+                # Resource.acquire, a process nobody joins): an entry
+                # would run no code at all, so none is scheduled
+                return
+            if len(callbacks) == 1:
+                # dominant case: one waiter, successful trigger — dispatch
+                # the callback directly, skipping _dispatch's bookkeeping
+                self._ready.append((next(self._counter), callbacks[0], (event,)))
+                return
         if event._exception is not None and not callbacks and not event._defused:
             self._unhandled_failures[event] = None
         self._ready.append((next(self._counter), self._dispatch, (event, callbacks)))

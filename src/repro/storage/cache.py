@@ -11,12 +11,25 @@ before write-back — the optimization behind tables 5-5/5-6.
 Eviction of a dirty victim must write it out first; since that is a
 simulated I/O, ``insert`` is a coroutine and the cache is constructed
 with a ``flush_fn(buffer)`` coroutine supplied by the owner.
+
+Beside the LRU ``OrderedDict`` the cache keeps two indexes, so that the
+whole-file operations cost O(blocks of that file) and the update
+daemon's ``dirty_buffers`` costs O(dirty blocks) rather than a walk of
+the whole cache: ``_files`` maps a file key to its cached blocks and
+``_dirty`` holds every cached buffer whose ``dirty`` flag is set.  LRU
+order is observable (``sync`` flushes in it, which is disk-queue order,
+which is simulated time), so every buffer carries the ``tick`` of its
+last move to the LRU tail and index results are sorted by it.  Callers
+hold ``Buffer`` references across yields; a buffer that was evicted or
+invalidated meanwhile is *detached* and never enters either index.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..metrics import Counters
 from ..sim import Simulator
@@ -24,6 +37,8 @@ from ..sim import Simulator
 __all__ = ["BufferCache", "Buffer", "CacheError"]
 
 BlockKey = Tuple[Hashable, int]  # (file_key, block_number)
+
+_TICK = attrgetter("tick")
 
 
 class CacheError(Exception):
@@ -33,7 +48,9 @@ class CacheError(Exception):
 class Buffer:
     """One cached block."""
 
-    __slots__ = ("key", "data", "dirty", "dirty_since", "busy", "wstamp", "tag")
+    __slots__ = (
+        "key", "data", "dirty", "dirty_since", "busy", "wstamp", "tag", "tick",
+    )
 
     def __init__(self, key: BlockKey, data: bytes):
         self.key = key
@@ -43,6 +60,7 @@ class Buffer:
         self.busy = False  # being flushed; not evictable or cancellable
         self.wstamp = 0  # write generation; bumped on every data change
         self.tag: Any = None  # filesystem-private (e.g. write credentials)
+        self.tick = 0  # LRU position: the cache's clock at the last touch
 
     @property
     def file_key(self) -> Hashable:
@@ -73,6 +91,11 @@ class BufferCache:
         self.name = name
         self.flush_fn = flush_fn  # coroutine(buffer); required before dirty eviction
         self._buffers: "OrderedDict[BlockKey, Buffer]" = OrderedDict()
+        #: file_key -> {block_no: buffer}, exactly the buffers in _buffers
+        self._files: Dict[Hashable, Dict[int, Buffer]] = {}
+        #: the buffers in _buffers whose dirty flag is set (busy or not)
+        self._dirty: Dict[BlockKey, Buffer] = {}
+        self._ticks = itertools.count(1)
         self.stats = Counters()
 
     # -- basic operations ---------------------------------------------------
@@ -87,10 +110,31 @@ class BufferCache:
         if self.sim.tracer is not None:
             self.sim.tracer.instant(name, cat="cache", track=self.name, **args)
 
+    def _touch(self, buf: Buffer) -> None:
+        """Make ``buf`` (which must be attached) the most recently used."""
+        self._buffers.move_to_end(buf.key)
+        buf.tick = next(self._ticks)
+
+    def _attached(self, buf: Buffer) -> bool:
+        # by identity: a newer buffer may have been installed under the
+        # same key after this one was evicted or invalidated
+        return self._buffers.get(buf.key) is buf
+
+    def _detach(self, buf: Buffer) -> None:
+        """Remove an attached buffer from the cache and both indexes."""
+        key = buf.key
+        del self._buffers[key]
+        blocks = self._files[key[0]]
+        del blocks[key[1]]
+        if not blocks:
+            del self._files[key[0]]
+        if buf.dirty:
+            del self._dirty[key]
+
     def lookup(self, file_key: Hashable, block_no: int) -> Optional[Buffer]:
         buf = self._buffers.get((file_key, block_no))
         if buf is not None:
-            self._buffers.move_to_end(buf.key)
+            self._touch(buf)
             self.stats.record("hits")
             if self.sim.tracer is not None:
                 self._trace("cache.hit", file=str(file_key), block=block_no)
@@ -104,18 +148,32 @@ class BufferCache:
         return (file_key, block_no) in self._buffers
 
     def insert(self, file_key: Hashable, block_no: int, data: bytes, dirty: bool = False):
-        """Coroutine: add (or replace) a block, evicting if needed."""
+        """Coroutine: add (or replace) a block, evicting if needed.
+
+        Evicting a dirty victim yields, and another process may install
+        this very block meanwhile.  The later data then wins — except
+        that a clean fill (``dirty=False``: bytes read before the yield)
+        never replaces a buffer that turned up dirty or busy; that
+        buffer is returned untouched, or its delayed write would be
+        lost.
+        """
         key = (file_key, block_no)
         buf = self._buffers.get(key)
         if buf is None:
             yield from self._make_room()
+            buf = self._buffers.get(key)
+            if buf is not None and not dirty and (buf.dirty or buf.busy):
+                return buf
+        if buf is None:
             buf = Buffer(key, data)
-            self._buffers[key] = buf  # lint: ok=ATOM001 — same-key inserts race to install identical fresh data; dirty blocks never pass through insert
+            buf.tick = next(self._ticks)
+            self._buffers[key] = buf  # lint: ok=ATOM001 — the key was looked up again after the yield and is still absent
+            self._files.setdefault(file_key, {})[block_no] = buf
             self.stats.record("inserts")
         else:
             buf.data = data
             buf.wstamp += 1
-            self._buffers.move_to_end(key)
+            self._touch(buf)
         if dirty:
             self.mark_dirty(buf)
         return buf
@@ -135,10 +193,28 @@ class BufferCache:
         if not buf.dirty:
             buf.dirty = True
             buf.dirty_since = self.sim.now
+            if self._attached(buf):
+                self._dirty[buf.key] = buf
 
     def mark_clean(self, buf: Buffer) -> None:
+        if buf.dirty and self._attached(buf):
+            del self._dirty[buf.key]
         buf.dirty = False
         buf.dirty_since = None
+
+    def discard(self, file_key: Hashable, block_no: int) -> None:
+        """Drop one block, if cached, whatever its state and without
+        writing it back."""
+        buf = self._buffers.get((file_key, block_no))
+        if buf is not None:
+            self._detach(buf)
+
+    def clear(self) -> None:
+        """Forget every block without writing any back (volatile memory
+        lost in a crash, or a cold-cache measurement)."""
+        self._buffers.clear()
+        self._files.clear()
+        self._dirty.clear()
 
     # -- the flush protocol ------------------------------------------------
 
@@ -216,8 +292,8 @@ class BufferCache:
                 if victim.dirty:
                     continue  # written to during the flush; not evictable yet
             # victim may have been invalidated during the flush
-            if victim.key in self._buffers and self._buffers[victim.key] is victim:
-                del self._buffers[victim.key]
+            if self._attached(victim):
+                self._detach(victim)
                 self.stats.record("evictions")
                 if self.sim.tracer is not None:
                     self._trace(
@@ -238,16 +314,22 @@ class BufferCache:
 
     # -- whole-file operations -------------------------------------------
 
+    def _blocks_of(self, file_key: Hashable) -> List[Buffer]:
+        """A file's cached buffers (a snapshot, in no particular order)."""
+        blocks = self._files.get(file_key)
+        return list(blocks.values()) if blocks else []
+
     def file_blocks(self, file_key: Hashable) -> List[Buffer]:
-        return [b for b in self._buffers.values() if b.file_key == file_key]
+        """Every cached block of a file, least recently used first."""
+        return sorted(self._blocks_of(file_key), key=_TICK)
 
     def invalidate_file(self, file_key: Hashable) -> int:
         """Drop every block of a file (clean or dirty, except busy ones)."""
         dropped = 0
-        for buf in self.file_blocks(file_key):
+        for buf in self._blocks_of(file_key):
             if buf.busy:
                 continue
-            del self._buffers[buf.key]
+            self._detach(buf)
             dropped += 1
         if dropped:
             self.stats.record("invalidated", n=dropped)
@@ -261,12 +343,12 @@ class BufferCache:
         the write to the server (or disk) never needs to happen.
         """
         cancelled = 0
-        for buf in self.file_blocks(file_key):
+        for buf in self._blocks_of(file_key):
             if buf.busy:
                 continue
             if buf.dirty:
                 cancelled += 1
-            del self._buffers[buf.key]
+            self._detach(buf)
         if cancelled:
             self.stats.record("cancelled_writes", n=cancelled)
             self._trace("cache.cancel_dirty", file=str(file_key), blocks=cancelled)
@@ -277,23 +359,27 @@ class BufferCache:
         file_key: Optional[Hashable] = None,
         older_than: Optional[float] = None,
     ) -> List[Buffer]:
-        """Dirty, non-busy buffers; optionally filtered by file and age."""
+        """Dirty, non-busy buffers, least recently used first;
+        optionally filtered by file and age."""
+        if file_key is None:
+            candidates = self._dirty.values()
+        else:
+            candidates = self._blocks_of(file_key)
         now = self.sim.now
         out = []
-        for buf in self._buffers.values():
+        for buf in candidates:
             if not buf.dirty or buf.busy:
-                continue
-            if file_key is not None and buf.file_key != file_key:
                 continue
             if older_than is not None:
                 born = now if buf.dirty_since is None else buf.dirty_since
                 if (now - born) < older_than:
                     continue
             out.append(buf)
+        out.sort(key=_TICK)
         return out
 
     def dirty_count(self) -> int:
-        return sum(1 for b in self._buffers.values() if b.dirty)
+        return len(self._dirty)
 
     def flush_file(self, file_key: Hashable):
         """Coroutine: write back every dirty block of a file, in order."""

@@ -4,7 +4,7 @@ unhandled-failure bookkeeping."""
 
 import pytest
 
-from repro.sim import AnyOf, SimulationError, Simulator, Timeout
+from repro.sim import AnyOf, Resource, SimulationError, Simulator, Timeout
 
 
 # -- Timeout.cancel ----------------------------------------------------------
@@ -248,3 +248,53 @@ def test_slotted_events_reject_ad_hoc_attributes():
     ev = sim.event("x")
     with pytest.raises(AttributeError):
         ev.scratch = 1  # __slots__: no per-instance dict on the hot path
+
+
+# -- waiterless triggers ------------------------------------------------------
+
+
+def test_waiterless_success_schedules_nothing():
+    sim = Simulator()
+    sim.timeout(7.0)
+    before = next(sim._counter)
+    ev = sim.event("nobody-waits").succeed("v")
+    assert ev.triggered and ev.value == "v" and ev.callbacks is None
+    assert len(sim._ready) == 0
+    assert sim.peek() == 7.0  # not "now": there is no entry at this instant
+    assert next(sim._counter) == before + 1  # no sequence number was drawn
+
+
+def test_uncontended_acquire_and_unjoined_process_schedule_nothing():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def worker():
+        yield res.acquire()
+        res.release()
+
+    sim.spawn(worker())
+    sim.run()
+    # spawn's first resume, then the resume on the already-granted
+    # acquire: two entries, none for the grant or for the process's end
+    assert next(sim._counter) == 2
+
+
+def test_late_waiter_on_a_waiterless_success_still_gets_the_value():
+    sim = Simulator()
+    ev = sim.event().succeed(41)
+    got = []
+
+    def late():
+        got.append((yield ev))
+
+    sim.spawn(late())
+    sim.run()
+    assert got == [41]
+
+
+def test_waiterless_failure_still_surfaces_from_run():
+    sim = Simulator()
+    sim.event("orphan").fail(KeyError("lost"))
+    assert len(sim._ready) == 1  # the failed event keeps its dispatch entry
+    with pytest.raises(KeyError, match="lost"):
+        sim.run()
