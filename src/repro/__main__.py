@@ -19,516 +19,38 @@ from __future__ import annotations
 import argparse
 import sys
 
-
-def _table(name: str) -> str:
-    from . import experiments as ex
-
-    if name in ("4-1", "4.1"):
-        # the state-transition table is printed by the benchmark; here
-        # we print the live transitions from the state machine
-        return _table_4_1()
-    builders = {
-        "5-1": lambda: ex.andrew_table_5_1()[0],
-        "5-2": lambda: ex.andrew_table_5_2()[0],
-        "5-3": lambda: ex.sort_table_5_3()[0],
-        "5-4": lambda: ex.sort_table_5_4()[0],
-        "5-5": lambda: ex.sort_table_5_5()[0],
-        "5-6": lambda: ex.sort_table_5_6()[0],
-    }
-    key = name.replace(".", "-")
-    if key not in builders:
-        raise SystemExit("unknown table %r (try: 4-1, 5-1 .. 5-6)" % name)
-    return builders[key]()
+from .analysis import cli as analysis_cli
+from .bench import cli as bench_cli
+from .experiments import cli as experiments_cli
+from .nemesis import cli as nemesis_cli
+from .obs import cli as obs_cli
+from .trace import cli as trace_cli
 
 
-def _table_4_1() -> str:
-    from .metrics import format_table
-    from .snfs import StateTable
-
-    # reproduce the key transitions inline (self-contained: the full
-    # enumeration lives in benchmarks/test_table_4_1.py)
-    rows = []
-    table = StateTable()
-    table.open_file("f", "A", False)
-    rows.append(["CLOSED", "open read", table.state_of("f").value])
-    table.open_file("f", "B", True)
-    rows.append(["ONE_READER", "other client opens write", table.state_of("f").value])
-    table.close_file("f", "A", False)
-    table.close_file("f", "B", True)
-    rows.append(["WRITE_SHARED", "all closed", table.state_of("f").value])
-    return format_table(
-        ["From", "Event", "To"], rows,
-        title="Table 4-1 (sample rows; run benchmarks/test_table_4_1.py for all)",
-        align_left_cols=3,
-    )
+def _list(args) -> int:
+    print(__doc__)
+    return 0
 
 
-def _figure(name: str) -> str:
-    from .experiments import figure_series, render_figure
-
-    protocol = {"5-1": "nfs", "5.1": "nfs", "5-2": "snfs", "5.2": "snfs"}.get(name)
-    if protocol is None:
-        raise SystemExit("unknown figure %r (try: 5-1, 5-2)" % name)
-    return render_figure(figure_series(protocol))
-
-
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduce tables and figures from Spritely NFS (SOSP 1989).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list reproducible artifacts")
-    p_table = sub.add_parser("table", help="print one table")
-    p_table.add_argument("name", help="4-1, 5-1, 5-2, 5-3, 5-4, 5-5, or 5-6")
-    p_fig = sub.add_parser("figure", help="print one figure (ASCII)")
-    p_fig.add_argument("name", help="5-1 or 5-2")
-    sub.add_parser("consistency", help="the §2.3 stale-read comparison")
-    p_micro = sub.add_parser("micro", help="the §5.3 write-close-reread microbenchmark")
-    p_micro.add_argument(
-        "--trace",
-        metavar="DIR",
-        default=None,
-        help="record causal traces and export them into DIR",
-    )
-    sub.add_parser("scaling", help="N-concurrent-clients extension experiment")
-    sub.add_parser("lifetimes", help="write traffic vs file lifetime (§2.1)")
-    sub.add_parser("readpatterns", help="§5.1 read-quickly/slowly RPC counts")
-    sub.add_parser("blocksharing", help="block vs whole-file consistency (§2.5)")
-    sub.add_parser("ablations", help="all design-decision ablations")
-    p_res = sub.add_parser(
-        "resilience", help="faulted runs judged by the consistency oracle"
-    )
-    p_res.add_argument("--seed", type=int, default=1, help="experiment seed")
-    p_res.add_argument(
-        "--trace",
-        metavar="DIR",
-        default=None,
-        help="record causal traces and export them into DIR",
-    )
-    p_tr = sub.add_parser(
-        "trace", help="run a workload traced; export Chrome trace/flamegraph/report"
-    )
-    p_tr.add_argument("workload", help="workload to trace (andrew)")
-    p_tr.add_argument(
-        "--protocol",
-        choices=["nfs", "snfs", "both"],
-        default="both",
-        help="protocol(s) to run (default: both)",
-    )
-    p_tr.add_argument("--seed", type=int, default=1989, help="run seed")
-    p_tr.add_argument(
-        "--drop-rate", type=float, default=0.0, help="network packet loss rate"
-    )
-    p_tr.add_argument(
-        "--out", metavar="DIR", default="traces", help="output directory"
-    )
-    p_bench = sub.add_parser(
-        "bench", help="wall-clock benchmarks; write BENCH_*.json documents"
-    )
-    p_bench.add_argument(
-        "--suite",
-        choices=["engine", "workloads", "all"],
-        default="all",
-        help="which suite(s) to run (default: all)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="CI-sized scenario variants"
-    )
-    p_bench.add_argument(
-        "--out", metavar="DIR", default=".", help="output directory (default: .)"
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3, help="engine timing repeats (best-of)"
-    )
-    p_bench.add_argument(
-        "--no-digests", action="store_true", help="skip trace-digest variants"
-    )
-    p_bench.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="compare against a committed BENCH_*.json; non-zero exit on regression",
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        help="allowed events/sec regression vs the baseline (default: 0.20)",
-    )
-    p_bench.add_argument(
-        "--obs",
-        action="store_true",
-        help="also emit OBS_andrew-*.json latency-attribution artifacts",
-    )
-    p_bench.add_argument(
-        "--only",
-        metavar="SCENARIO",
-        default=None,
-        help="run only scenarios matching this fnmatch pattern "
-        "(e.g. 'sharded-*' or an exact name)",
-    )
-    p_bench.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the scenario sweep (default: all "
-        "cores; 1 runs in-process with byte-identical output)",
-    )
-    p_bench.add_argument(
-        "--n",
-        type=int,
-        action="append",
-        default=None,
-        metavar="CLIENTS",
-        help="add an opt-in sweep-n<CLIENTS> cluster scaling point "
-        "(e.g. --n 10000; repeatable; workloads suite, full size only)",
-    )
-    p_golden = sub.add_parser(
-        "golden",
-        help="recompute the fixed-seed golden digests on the cell pool; "
-        "--check (default) diffs against tests/golden/golden.json",
-    )
-    p_golden.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed golden file (the default)",
-    )
-    p_golden.add_argument(
-        "--write",
-        action="store_true",
-        help="regenerate the golden file (only after an INTENTIONAL "
-        "behavior change)",
-    )
-    p_golden.add_argument(
-        "--path",
-        metavar="PATH",
-        default=None,
-        help="golden file location (default: tests/golden/golden.json)",
-    )
-    p_golden.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: all cores)",
-    )
-    p_nem = sub.add_parser(
-        "nemesis",
-        help="conformance matrix: workloads x fault plans x protocols",
-    )
-    p_nem.add_argument("--seed", type=int, default=1, help="matrix seed")
-    p_nem.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI subset: %s" % ", ".join(
-            ("flaky-net", "server-crash", "crash-during-grace")
-        ),
-    )
-    p_nem.add_argument(
-        "--only",
-        metavar="CELL",
-        default=None,
-        help="run matching cells: an exact protocol/workload/plan id or "
-        "an fnmatch pattern (e.g. 'snfs/*/crash-*'); no match exits 1",
-    )
-    p_nem.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the matrix sweep (default: all "
-        "cores; 1 runs in-process with byte-identical output)",
-    )
-    p_nem.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the schema-versioned JSON document to PATH",
-    )
-    p_nem.add_argument(
-        "--obs",
-        metavar="PATH",
-        default=None,
-        help="also run one obs-enabled cell and write its repro-obs/1 "
-        "latency-attribution document to PATH",
-    )
-    p_nem.add_argument(
-        "--sharded",
-        action="store_true",
-        help="run the sharded failover cells (one-shard crash during "
-        "grace, snfs + lease) instead of the matrix",
-    )
-    p_report = sub.add_parser(
-        "report",
-        help="render a repro-obs/1 latency-attribution report; "
-        "--against diffs two runs with regression thresholds",
-    )
-    p_report.add_argument(
-        "run",
-        nargs="+",
-        help="obs document(s) (RUN.json ...); several documents are "
-        "merged into one combined report (per-cell sweep outputs)",
-    )
-    p_report.add_argument(
-        "--against",
-        metavar="BASE",
-        default=None,
-        help="baseline obs document to diff against; non-zero exit on regression",
-    )
-    p_report.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="override every relative regression threshold (default: per-metric)",
-    )
-    p_report.add_argument(
-        "--top", type=int, default=10, help="rows in the hot-file/client tables"
-    )
-    p_lint = sub.add_parser(
-        "lint", help="determinism/sim-discipline lint + Table 4-1 conformance"
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", help="files or directories (default: the repro package)"
-    )
-    p_lint.add_argument(
-        "--strict", action="store_true", help="fail on warnings too"
-    )
-    p_lint.add_argument(
-        "--no-conformance",
-        action="store_true",
-        help="skip the Table 4-1 conformance pass",
-    )
-    p_lint.add_argument(
-        "--atomicity",
-        action="store_true",
-        help="run the interprocedural atomicity pass (ATOM001-ATOM004)",
-    )
-    p_lint.add_argument(
-        "--seam",
-        action="store_true",
-        help="run the policy/server seam contract pass (SEAM001-SEAM003)",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="accepted-findings baseline (default: the committed "
-        "lint-baseline.json, auto-discovered)",
-    )
-    p_lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    p_lint.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the repro-lint/2 JSON report to PATH",
-    )
-    sub.add_parser("all", help="everything (several minutes)")
-    args = parser.parse_args(argv)
+    sub.add_parser("list", help="list reproducible artifacts").set_defaults(func=_list)
+    # each owning package adds its subcommands (parser + ``func``
+    # default; ``report`` already has a positional called ``run``), in
+    # ``--help`` order, which lists ``all`` last
+    for cli in (experiments_cli, trace_cli, bench_cli, nemesis_cli, obs_cli, analysis_cli):
+        cli.register(sub)
+    experiments_cli.register_all(sub)
+    return parser
 
-    if args.command == "list":
-        print(__doc__)
-        return 0
-    if args.command == "table":
-        print(_table(args.name))
-        return 0
-    if args.command == "figure":
-        print(_figure(args.name))
-        return 0
-    if args.command == "consistency":
-        from .experiments import consistency_table
 
-        print(consistency_table()[0])
-        return 0
-    if args.command == "micro":
-        from .experiments import micro_write_close_reread
-
-        if args.trace:
-            from .trace.cli import trace_experiment
-
-            (text, _), exports = trace_experiment(
-                micro_write_close_reread, args.trace, prefix="micro"
-            )
-            print(text)
-            for export in exports:
-                print("trace: %s" % export["trace"])
-            return 0
-        print(micro_write_close_reread()[0])
-        return 0
-    if args.command == "scaling":
-        from .experiments import scaling_table
-
-        print(scaling_table()[0])
-        return 0
-    if args.command == "lifetimes":
-        from .experiments import lifetime_sweep
-
-        print(lifetime_sweep()[0])
-        return 0
-    if args.command == "readpatterns":
-        from .experiments import read_pattern_comparison
-
-        print(read_pattern_comparison()[0])
-        return 0
-    if args.command == "blocksharing":
-        from .experiments import block_sharing_table
-
-        print(block_sharing_table()[0])
-        return 0
-    if args.command == "ablations":
-        from .experiments import all_ablations
-
-        print(all_ablations())
-        return 0
-    if args.command == "resilience":
-        from .experiments import resilience_table
-
-        if args.trace:
-            from .trace.cli import trace_experiment
-
-            result, exports = trace_experiment(
-                lambda: resilience_table(seed=args.seed), args.trace,
-                prefix="resilience",
-            )
-            print(result[0])
-            for export in exports:
-                print("trace: %s" % export["trace"])
-            return 0
-        print(resilience_table(seed=args.seed)[0])
-        return 0
-    if args.command == "nemesis":
-        from .nemesis import (
-            QUICK_PLANS,
-            nemesis_document,
-            render_matrix,
-            run_matrix,
-        )
-
-        from .parallel import default_jobs, make_progress_printer
-
-        plans = QUICK_PLANS if args.quick else None
-        jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
-        timing: dict = {}
-        try:
-            if args.sharded:
-                from .nemesis import render_sharded_cells, run_sharded_cells
-
-                cells = run_sharded_cells(seed=args.seed)
-                print(render_sharded_cells(cells, args.seed))
-            else:
-                cells = run_matrix(
-                    seed=args.seed, plans=plans, only=args.only,
-                    jobs=jobs, timing=timing,
-                    pool_progress=make_progress_printer("nemesis"),
-                )
-                print(render_matrix(cells, args.seed))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        doc = nemesis_document(cells, args.seed, timing=timing or None)
-        if timing:
-            print(
-                "%d cells on %d worker(s): %.3fs wall, %.3fs "
-                "serial-equivalent (speedup %.2fx)"
-                % (
-                    len(timing.get("cells", [])), timing["jobs"],
-                    timing["total_wall_seconds"],
-                    timing["serial_cell_seconds"], timing["speedup"],
-                )
-            )
-        print(
-            "cells=%d pass=%d expected=%d fail=%d digest=%s"
-            % (
-                len(cells),
-                doc["summary"]["pass"],
-                doc["summary"]["expected"],
-                doc["summary"]["fail"],
-                doc["digest"][:16],
-            )
-        )
-        if args.json:
-            import json as _json
-
-            with open(args.json, "w") as fh:
-                _json.dump(doc, fh, indent=2, sort_keys=False)
-                fh.write("\n")
-            print("wrote %s" % args.json)
-        if args.obs:
-            from .nemesis import nemesis_obs_artifact
-
-            print("wrote %s" % nemesis_obs_artifact(args.obs, seed=args.seed))
-        return 1 if doc["summary"]["fail"] else 0
-    if args.command == "report":
-        from .obs.cli import run_report
-
-        return run_report(args)
-    if args.command == "trace":
-        from .trace.cli import run_trace
-
-        return run_trace(args)
-    if args.command == "bench":
-        from .bench.cli import run_bench
-
-        return run_bench(args)
-    if args.command == "golden":
-        from .bench.cli import run_golden_cli
-
-        if args.check and args.write:
-            raise SystemExit("--check and --write are mutually exclusive")
-        return run_golden_cli(args)
-    if args.command == "lint":
-        from .analysis.cli import run_lint
-
-        return run_lint(
-            paths=args.paths,
-            strict=args.strict,
-            conformance=not args.no_conformance,
-            atomicity=args.atomicity,
-            seam=args.seam,
-            baseline=args.baseline,
-            no_baseline=args.no_baseline,
-            json_out=args.json,
-        )
-    if args.command == "all":
-        for name in ("5-1", "5-2", "5-3", "5-4", "5-5", "5-6"):
-            print(_table(name))
-            print()
-        print(_figure("5-1"))
-        print()
-        print(_figure("5-2"))
-        print()
-        from .experiments import (
-            all_ablations,
-            block_sharing_table,
-            consistency_table,
-            lifetime_sweep,
-            micro_write_close_reread,
-            read_pattern_comparison,
-            scaling_table,
-        )
-
-        print(consistency_table()[0])
-        print()
-        print(micro_write_close_reread()[0])
-        print()
-        print(read_pattern_comparison()[0])
-        print()
-        print(scaling_table()[0])
-        print()
-        print(lifetime_sweep()[0])
-        print()
-        print(block_sharing_table()[0])
-        print()
-        print(all_ablations())
-        return 0
-    return 1
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -33,9 +33,9 @@ you fix the code.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Sequence, Tuple
 
+from ..document import check, read_json
 from .linter import Finding
 
 __all__ = ["BASELINE_SCHEMA", "load_baseline", "apply_baseline"]
@@ -43,26 +43,25 @@ __all__ = ["BASELINE_SCHEMA", "load_baseline", "apply_baseline"]
 BASELINE_SCHEMA = "repro-lint-baseline/1"
 
 
+_ENTRY_FIELDS = ("fingerprint", "rule", "reason")
+_SPEC = {
+    "schema": {BASELINE_SCHEMA},
+    "findings": [dict.fromkeys(_ENTRY_FIELDS, str)],
+}
+
+
 def load_baseline(path: str) -> Dict:
     """Read and validate a baseline document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            "baseline %s: schema %r, expected %r"
-            % (path, doc.get("schema"), BASELINE_SCHEMA)
-        )
-    entries = doc.get("findings")
-    if not isinstance(entries, list):
-        raise ValueError("baseline %s: 'findings' must be a list" % path)
-    for i, entry in enumerate(entries):
-        for field in ("fingerprint", "rule", "reason"):
-            if not entry.get(field):
-                raise ValueError(
-                    "baseline %s: entry %d is missing %r "
-                    "(every accepted finding needs a review reason)"
-                    % (path, i, field)
-                )
+    doc = read_json(path)
+    problems = check(doc, _SPEC) or [
+        "findings[%d] has an empty %r (every accepted finding needs a "
+        "review reason)" % (i, field)
+        for i, entry in enumerate(doc["findings"])
+        for field in _ENTRY_FIELDS
+        if not entry[field]
+    ]
+    if problems:
+        raise ValueError("baseline %s: %s" % (path, "; ".join(problems)))
     return doc
 
 

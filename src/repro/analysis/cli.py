@@ -16,13 +16,13 @@ Reviewed atomicity/seam findings live in a committed baseline file
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional, Sequence
 
+from ..document import write_json
 from .linter import Finding, lint_paths
 
-__all__ = ["run_lint", "default_target", "discover_baseline"]
+__all__ = ["register", "run_lint", "default_target", "discover_baseline"]
 
 
 def default_target() -> str:
@@ -53,10 +53,6 @@ def run_lint(
     json_out: Optional[str] = None,
     out=None,
 ) -> int:
-    import sys
-
-    if out is None:
-        out = sys.stdout
     if not paths:
         paths = [default_target()]
         package_root = paths[0]
@@ -145,9 +141,7 @@ def run_lint(
             conformance_diffs=conformance_diffs,
             baseline_path=baseline_path,
         )
-        with open(json_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(doc, json_out, sort_keys=False)
         print("wrote %s" % json_out, file=out)
 
     if errors:
@@ -155,3 +149,54 @@ def run_lint(
     if strict and warnings:
         return 1
     return 0
+
+
+def register(sub) -> None:
+    p_lint = sub.add_parser(
+        "lint", help="determinism/sim-discipline lint + Table 4-1 conformance"
+    )
+    p_lint.add_argument(
+        "paths", nargs="*", help="files or directories (default: the repro package)"
+    )
+    p_lint.add_argument(
+        "--strict", action="store_true", help="fail on warnings too"
+    )
+    p_lint.add_argument(
+        "--no-conformance",
+        dest="conformance",
+        action="store_false",
+        help="skip the Table 4-1 conformance pass",
+    )
+    p_lint.add_argument(
+        "--atomicity",
+        action="store_true",
+        help="run the interprocedural atomicity pass (ATOM001-ATOM004)",
+    )
+    p_lint.add_argument(
+        "--seam",
+        action="store_true",
+        help="run the policy/server seam contract pass (SEAM001-SEAM003)",
+    )
+    p_lint.add_argument(
+        "--baseline",
+        metavar="PATH",
+        help="accepted-findings baseline (default: the committed "
+        "lint-baseline.json, auto-discovered)",
+    )
+    p_lint.add_argument(
+        "--no-baseline",
+        action="store_true",
+        help="ignore any baseline file",
+    )
+    p_lint.add_argument(
+        "--json",
+        dest="json_out",
+        metavar="PATH",
+        help="also write the repro-lint/2 JSON report to PATH",
+    )
+    # every dest above is a run_lint parameter
+    p_lint.set_defaults(
+        func=lambda args: run_lint(
+            **{k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        )
+    )

@@ -14,39 +14,36 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..document import check
 from .linter import Finding
 
 __all__ = ["LINT_SCHEMA", "lint_document", "validate_lint_document"]
 
 LINT_SCHEMA = "repro-lint/2"
 
-_FINDING_FIELDS = {
-    "rule": str,
-    "severity": str,
-    "path": str,
-    "line": int,
-    "col": int,
-    "message": str,
-    "function": str,
-    "subject": str,
-    "fingerprint": str,
+_FINDING = {
+    "rule": str, "severity": str, "path": str, "line": int, "col": int,
+    "message": str, "function": str, "subject": str, "fingerprint": str,
     "baselined": bool,
+}
+
+_SPEC = {
+    "schema": {LINT_SCHEMA},
+    "paths": list,
+    "passes": list,
+    "strict": bool,
+    "findings": [_FINDING],
+    "conformance_diffs": list,
+    "baseline": {"matched": int, "stale": list},
+    "summary": {"errors": int, "warnings": int, "conformance": int, "baselined": int},
 }
 
 
 def _finding_dict(finding: Finding, baselined: bool) -> Dict:
-    return {
-        "rule": finding.rule,
-        "severity": finding.severity,
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "function": finding.function,
-        "subject": finding.subject,
-        "fingerprint": finding.fingerprint,
-        "baselined": baselined,
-    }
+    """``finding`` as the document spells it: ``_FINDING`` key order."""
+    entry = {f: getattr(finding, f) for f in _FINDING if f != "baselined"}
+    entry["baselined"] = baselined
+    return entry
 
 
 def lint_document(
@@ -87,46 +84,6 @@ def lint_document(
     }
 
 
-def validate_lint_document(doc: Dict) -> List[str]:
+def validate_lint_document(doc) -> List[str]:
     """Structural validation; returns a list of problems (empty = ok)."""
-    problems: List[str] = []
-    if doc.get("schema") != LINT_SCHEMA:
-        problems.append(
-            "schema is %r, expected %r" % (doc.get("schema"), LINT_SCHEMA)
-        )
-    for field, typ in (
-        ("paths", list),
-        ("passes", list),
-        ("strict", bool),
-        ("findings", list),
-        ("conformance_diffs", list),
-        ("baseline", dict),
-        ("summary", dict),
-    ):
-        if not isinstance(doc.get(field), typ):
-            problems.append("%r must be %s" % (field, typ.__name__))
-    for i, finding in enumerate(doc.get("findings") or []):
-        if not isinstance(finding, dict):
-            problems.append("findings[%d] is not an object" % i)
-            continue
-        for field, typ in _FINDING_FIELDS.items():
-            value = finding.get(field)
-            ok = isinstance(value, typ) and not (
-                typ is int and isinstance(value, bool)
-            )
-            if not ok:
-                problems.append(
-                    "findings[%d].%s must be %s" % (i, field, typ.__name__)
-                )
-    baseline = doc.get("baseline")
-    if isinstance(baseline, dict):
-        if not isinstance(baseline.get("matched"), int):
-            problems.append("baseline.matched must be int")
-        if not isinstance(baseline.get("stale"), list):
-            problems.append("baseline.stale must be list")
-    summary = doc.get("summary")
-    if isinstance(summary, dict):
-        for field in ("errors", "warnings", "conformance", "baselined"):
-            if not isinstance(summary.get(field), int):
-                problems.append("summary.%s must be int" % field)
-    return problems
+    return check(doc, _SPEC)

@@ -25,21 +25,25 @@ baseline.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import List, Optional
+from typing import List
 
-from .engine_bench import run_engine_suite
-from .schema import (
-    bench_document,
-    compare_to_baseline,
-    validate_bench_document,
-    write_bench_document,
+from ..document import read_json, write_json
+from ..obs import OBS_INDENT
+from ..parallel import (
+    CellSpec,
+    make_progress_printer,
+    resolve_jobs,
+    run_cells,
+    sweep_summary,
 )
+from .engine_bench import run_engine_suite
+from .golden import check_golden, default_golden_path, write_golden
+from .schema import bench_document, compare_to_baseline, validate_bench_document
 from .workloads import run_workload_suite
 
-__all__ = ["run_bench", "run_golden_cli", "emit_obs_artifacts"]
+__all__ = ["register", "run_bench", "run_golden_cli", "emit_obs_artifacts"]
 
 
 def emit_obs_artifacts(
@@ -50,9 +54,6 @@ def emit_obs_artifacts(
     documents — the obs CI job's quick traced bench.  Each protocol is
     one pool cell; the documents are deterministic, so the files are
     byte-identical at any job count."""
-    from ..obs.cli import write_obs_document
-    from ..parallel import CellSpec, run_cells
-
     specs = [
         CellSpec(
             kind="obs-baseline",
@@ -71,53 +72,31 @@ def emit_obs_artifacts(
             )
         protocol = row["result"]["meta"]["protocol"]
         path = os.path.join(out_dir, "OBS_andrew-%s.json" % protocol)
-        paths.append(write_obs_document(row["result"], path))
+        paths.append(write_json(row["result"], path, indent=OBS_INDENT))
     return paths
 
 
-def _summary_lines(suite: str, scenarios: List[dict], parallel: dict) -> List[str]:
-    lines = ["%s suite:" % suite]
+def _print_summary(suite: str, scenarios: List[dict], parallel: dict) -> None:
+    print("%s suite:" % suite)
     for s in scenarios:
         digest = (s.get("trace_digest") or "-")[:12]
-        lines.append(
+        print(
             "  %-22s %12d ops  %8.3fs wall  %10d ev/s  digest %s"
             % (s["name"], s["ops"], s["wall_seconds"], s["events_per_sec"], digest)
         )
-    for cell in parallel.get("cells", []):
+    for cell in parallel["cells"]:
         if cell.get("error"):
-            lines.append("  %-22s ERROR: %s" % (cell["name"], cell["error"]))
-    if parallel:
-        lines.append(
-            "  %d cells on %d worker(s): %.3fs wall, %.3fs serial-equivalent "
-            "(speedup %.2fx)"
-            % (
-                len(parallel.get("cells", [])), parallel["jobs"],
-                parallel["total_wall_seconds"], parallel["serial_cell_seconds"],
-                parallel["speedup"],
-            )
-        )
-    return lines
-
-
-def _resolve_jobs(args) -> int:
-    from ..parallel import default_jobs
-
-    jobs = getattr(args, "jobs", None)
-    return default_jobs() if jobs is None else max(1, jobs)
+            print("  %-22s ERROR: %s" % (cell["name"], cell["error"]))
+    print("  " + sweep_summary(parallel))
 
 
 def run_bench(args) -> int:
-    from ..parallel import make_progress_printer
-
     suites = ("engine", "workloads") if args.suite == "all" else (args.suite,)
-    jobs = _resolve_jobs(args)
-    baseline = None
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
+    jobs = resolve_jobs(args.jobs)
+    baseline = read_json(args.check) if args.check else None
     rc = 0
-    only = getattr(args, "only", None)
-    extra_ns = tuple(getattr(args, "n", None) or ())
+    only = args.only
+    extra_ns = tuple(args.n or ())
     matched_any = False
     for suite in suites:
         accounting: dict = {}
@@ -131,17 +110,13 @@ def run_bench(args) -> int:
             scenarios = run_workload_suite(
                 quick=args.quick,
                 digests=not args.no_digests,
-                progress=(
-                    (lambda name: print("running %s ..." % name))
-                    if jobs <= 1 else None
-                ),
                 only=only,
                 jobs=jobs,
                 extra_ns=extra_ns,
                 pool_progress=pool_progress,
                 accounting=accounting,
             )
-        errors = [c for c in accounting.get("cells", []) if c.get("error")]
+        errors = [c for c in accounting["cells"] if c.get("error")]
         if errors:
             rc = 1
         if not scenarios and not errors:
@@ -156,11 +131,8 @@ def run_bench(args) -> int:
             for problem in problems:
                 print("schema problem: %s" % problem)
             rc = 1
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "BENCH_%s.json" % suite)
-        write_bench_document(doc, path)
-        for line in _summary_lines(suite, scenarios, accounting):
-            print(line)
+        path = write_json(doc, os.path.join(args.out, "BENCH_%s.json" % suite))
+        _print_summary(suite, scenarios, accounting)
         print("wrote %s" % path)
         if baseline is not None and baseline.get("suite") == suite:
             ok, lines = compare_to_baseline(doc, baseline, tolerance=args.tolerance)
@@ -171,7 +143,7 @@ def run_bench(args) -> int:
                 rc = 1
     if not matched_any:
         return 1
-    if getattr(args, "obs", False):
+    if args.obs:
         for path in emit_obs_artifacts(args.out, jobs=jobs):
             print("wrote %s" % path)
     return rc
@@ -179,11 +151,9 @@ def run_bench(args) -> int:
 
 def run_golden_cli(args) -> int:
     """``python -m repro golden``: pooled golden-digest check/regen."""
-    from ..parallel import make_progress_printer
-
-    from .golden import check_golden, default_golden_path, write_golden
-
-    jobs = _resolve_jobs(args)
+    if args.check and args.write:
+        raise SystemExit("--check and --write are mutually exclusive")
+    jobs = resolve_jobs(args.jobs)
     path = args.path or default_golden_path()
     progress = make_progress_printer("golden")
     if args.write:
@@ -200,15 +170,98 @@ def run_golden_cli(args) -> int:
     )
     for line in lines:
         print(line)
-    if accounting:
-        print(
-            "%d cells on %d worker(s): %.3fs wall, %.3fs serial-equivalent "
-            "(speedup %.2fx)"
-            % (
-                len(accounting.get("cells", [])), accounting["jobs"],
-                accounting["total_wall_seconds"],
-                accounting["serial_cell_seconds"], accounting["speedup"],
-            )
-        )
+    print(sweep_summary(accounting))
     print("golden digests %s vs %s" % ("MATCH" if ok else "DIFFER", path))
     return 0 if ok else 1
+
+
+def register(sub) -> None:
+    p_bench = sub.add_parser(
+        "bench", help="wall-clock benchmarks; write BENCH_*.json documents"
+    )
+    p_bench.add_argument(
+        "--suite",
+        choices=["engine", "workloads", "all"],
+        default="all",
+        help="which suite(s) to run (default: all)",
+    )
+    p_bench.add_argument(
+        "--quick", action="store_true", help="CI-sized scenario variants"
+    )
+    p_bench.add_argument(
+        "--out", metavar="DIR", default=".", help="output directory (default: .)"
+    )
+    p_bench.add_argument(
+        "--repeats", type=int, default=3, help="engine timing repeats (best-of)"
+    )
+    p_bench.add_argument(
+        "--no-digests", action="store_true", help="skip trace-digest variants"
+    )
+    p_bench.add_argument(
+        "--check",
+        metavar="BASELINE",
+        help="compare against a committed BENCH_*.json; non-zero exit on regression",
+    )
+    p_bench.add_argument(
+        "--tolerance",
+        type=float,
+        default=0.20,
+        help="allowed events/sec regression vs the baseline (default: 0.20)",
+    )
+    p_bench.add_argument(
+        "--obs",
+        action="store_true",
+        help="also emit OBS_andrew-*.json latency-attribution artifacts",
+    )
+    p_bench.add_argument(
+        "--only",
+        metavar="SCENARIO",
+        help="run only scenarios matching this fnmatch pattern "
+        "(e.g. 'sharded-*' or an exact name)",
+    )
+    p_bench.add_argument(
+        "-j",
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="worker processes for the scenario sweep (default: all "
+        "cores; 1 runs in-process with byte-identical output)",
+    )
+    p_bench.add_argument(
+        "--n",
+        type=int,
+        action="append",
+        metavar="CLIENTS",
+        help="add an opt-in sweep-n<CLIENTS> cluster scaling point "
+        "(e.g. --n 10000; repeatable; workloads suite, full size only)",
+    )
+    p_bench.set_defaults(func=run_bench)
+    p_golden = sub.add_parser(
+        "golden",
+        help="recompute the fixed-seed golden digests on the cell pool; "
+        "--check (default) diffs against tests/golden/golden.json",
+    )
+    p_golden.add_argument(
+        "--check",
+        action="store_true",
+        help="compare against the committed golden file (the default)",
+    )
+    p_golden.add_argument(
+        "--write",
+        action="store_true",
+        help="regenerate the golden file (only after an INTENTIONAL "
+        "behavior change)",
+    )
+    p_golden.add_argument(
+        "--path",
+        metavar="PATH",
+        help="golden file location (default: tests/golden/golden.json)",
+    )
+    p_golden.add_argument(
+        "-j",
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="worker processes (default: all cores)",
+    )
+    p_golden.set_defaults(func=run_golden_cli)

@@ -40,6 +40,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim import Simulator, Store
+from .suite import run_suite
 
 __all__ = ["ENGINE_SCENARIOS", "run_engine_cell", "run_engine_suite"]
 
@@ -201,44 +202,10 @@ def run_engine_suite(
     progress=None,
     accounting: Optional[Dict] = None,
 ) -> List[Dict]:
-    """Run every engine scenario; returns scenario result dicts.
-
-    ``only`` is an fnmatch pattern or exact name restricting scenarios.
-    ``jobs`` farms scenarios to the :mod:`repro.parallel` cell pool
-    (``1`` executes in-process); when ``accounting`` is a dict it is
-    filled with the pool's per-cell + speedup timing block.
-    """
-    import fnmatch
-
-    from ..parallel import CellSpec, pool_accounting, run_cells
-
-    names = [
-        name
-        for name in ENGINE_SCENARIOS
-        if only is None or fnmatch.fnmatch(name, only)
-    ]
-    specs = [
-        CellSpec(
-            kind="bench-engine",
-            name=name,
-            params={"quick": quick, "repeats": repeats},
-        )
-        for name in names
-    ]
-    t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
-    rows = run_cells(specs, jobs=jobs, progress=progress)
-    total = time.perf_counter() - t0  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
-    if accounting is not None:
-        accounting.update(pool_accounting(rows, total, jobs))
-    results = []
-    for row in rows:
-        if row["error"]:
-            # with an accounting sink the caller sees the error row and
-            # owns the exit code; bare API calls keep raise-on-failure
-            if accounting is None:
-                raise RuntimeError(
-                    "engine scenario %r failed: %s" % (row["name"], row["error"])
-                )
-            continue
-        results.append(row["result"])
-    return results
+    """Run every engine scenario; returns scenario result dicts
+    (``only``, ``jobs``, ``progress``, ``accounting``: see
+    :func:`~repro.bench.suite.run_suite`)."""
+    return run_suite(
+        "bench-engine", ENGINE_SCENARIOS, {"quick": quick, "repeats": repeats},
+        only=only, jobs=jobs, progress=progress, accounting=accounting,
+    )

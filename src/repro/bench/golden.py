@@ -26,7 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
+
+from ..document import read_json, write_json
+from ..experiments.artifacts import ARTIFACTS
+from ..parallel import CellSpec, sweep
+from ..trace import Tracer, trace_digest
+from .workloads import andrew_digest
 
 __all__ = [
     "GOLDEN_OUTPUTS",
@@ -49,64 +56,19 @@ def _sha(text: str) -> str:
 
 # -- output digests ----------------------------------------------------------
 
-
-def _table(name: str) -> Callable[[], str]:
-    def build() -> str:
-        from .. import experiments as ex
-
-        builders = {
-            "5-1": lambda: ex.andrew_table_5_1()[0],
-            "5-2": lambda: ex.andrew_table_5_2()[0],
-            "5-3": lambda: ex.sort_table_5_3()[0],
-            "5-4": lambda: ex.sort_table_5_4()[0],
-            "5-5": lambda: ex.sort_table_5_5()[0],
-            "5-6": lambda: ex.sort_table_5_6()[0],
-        }
-        return builders[name]()
-
-    return build
-
-
-def _figure(protocol: str) -> Callable[[], str]:
-    def build() -> str:
-        from ..experiments import figure_series, render_figure
-
-        return render_figure(figure_series(protocol))
-
-    return build
-
-
-def _micro() -> str:
-    from ..experiments import micro_write_close_reread
-
-    return micro_write_close_reread()[0]
-
-
-def _consistency() -> str:
-    from ..experiments import consistency_table
-
-    return consistency_table()[0]
-
-
-def _resilience() -> str:
-    from ..experiments import resilience_table
-
-    return resilience_table(seed=1)[0]
-
-
 #: scenario name -> zero-argument callable returning the canonical text
+#: (the resilience table at its default seed, 1)
 GOLDEN_OUTPUTS: Dict[str, Callable[[], str]] = {
-    "table-5-1": _table("5-1"),
-    "table-5-2": _table("5-2"),
-    "table-5-3": _table("5-3"),
-    "table-5-4": _table("5-4"),
-    "table-5-5": _table("5-5"),
-    "table-5-6": _table("5-6"),
-    "figure-5-1": _figure("nfs"),
-    "figure-5-2": _figure("snfs"),
-    "micro-5-3": _micro,
-    "consistency-2-3": _consistency,
-    "resilience-seed1": _resilience,
+    **{
+        name: ARTIFACTS[name]
+        for name in (
+            "table-5-1", "table-5-2", "table-5-3", "table-5-4", "table-5-5",
+            "table-5-6", "figure-5-1", "figure-5-2",
+        )
+    },
+    "micro-5-3": ARTIFACTS["micro"],
+    "consistency-2-3": ARTIFACTS["consistency"],
+    "resilience-seed1": ARTIFACTS["resilience"],
 }
 
 
@@ -125,47 +87,18 @@ def compute_output_digests(
 # -- trace digests -----------------------------------------------------------
 
 
-def _traced_andrew(protocol: str) -> Callable[[], List[str]]:
-    def run() -> List[str]:
-        from ..experiments import run_traced_andrew
-        from ..trace import trace_digest
-
-        result = run_traced_andrew(protocol, seed=1989)
-        return [trace_digest(result.tracer)]
-
-    return run
-
-
-def _traced_experiment(run_fn_name: str, **kwargs) -> Callable[[], List[str]]:
-    """Run an experiment with ``REPRO_TRACE`` armed; digest every
+def _traced_artifact(name: str) -> List[str]:
+    """Build an artifact with ``REPRO_TRACE`` armed; digest every
     simulator's trace (one experiment may build several testbeds)."""
-
-    def run() -> List[str]:
-        from .. import experiments as ex
-        from ..trace import Tracer, trace_digest
-
-        run_fn = getattr(ex, run_fn_name)
-        Tracer.drain_instances()
-        had = os.environ.get("REPRO_TRACE")
-        os.environ["REPRO_TRACE"] = "1"
-        try:
-            run_fn(**kwargs)
-        finally:
-            if had is None:
-                os.environ.pop("REPRO_TRACE", None)
-            else:
-                os.environ["REPRO_TRACE"] = had
-        return [trace_digest(tracer) for tracer in Tracer.drain_instances()]
-
-    return run
+    return [trace_digest(t) for t in Tracer.capture(ARTIFACTS[name])[1]]
 
 
 #: scenario name -> zero-argument callable returning a digest list
 GOLDEN_TRACED: Dict[str, Callable[[], List[str]]] = {
-    "andrew-traced-nfs": _traced_andrew("nfs"),
-    "andrew-traced-snfs": _traced_andrew("snfs"),
-    "micro-5-3-traced": _traced_experiment("micro_write_close_reread"),
-    "resilience-seed1-traced": _traced_experiment("resilience_table", seed=1),
+    "andrew-traced-nfs": lambda: [andrew_digest("nfs")],
+    "andrew-traced-snfs": lambda: [andrew_digest("snfs")],
+    "micro-5-3-traced": partial(_traced_artifact, "micro"),
+    "resilience-seed1-traced": partial(_traced_artifact, "resilience"),
 }
 
 
@@ -206,20 +139,14 @@ def run_golden(
     Returns ``(outputs, trace_digests, error_rows)`` — scenarios whose
     cell errored are absent from the dicts and listed in the rows.
     """
-    import time
-
-    from ..parallel import CellSpec, pool_accounting, run_cells
-
     specs = [
         CellSpec(kind="golden-output", name=name) for name in GOLDEN_OUTPUTS
     ] + [
         CellSpec(kind="golden-traced", name=name) for name in GOLDEN_TRACED
     ]
-    t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
-    rows = run_cells(specs, jobs=jobs, progress=progress)
-    total = time.perf_counter() - t0  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
+    rows, timing = sweep(specs, jobs=jobs, progress=progress)
     if accounting is not None:
-        accounting.update(pool_accounting(rows, total, jobs))
+        accounting.update(timing)
     outputs: Dict[str, str] = {}
     traced: Dict[str, List[str]] = {}
     errors: List[Dict] = []
@@ -237,11 +164,8 @@ def check_golden(
     path: Optional[str] = None, jobs: int = 1, progress=None, accounting=None
 ) -> Tuple[bool, List[str]]:
     """Recompute all digests and diff against the committed file."""
-    import json
-
     path = path or default_golden_path()
-    with open(path) as fh:
-        ref = json.load(fh)
+    ref = read_json(path)
     outputs, traced, errors = run_golden(
         jobs=jobs, progress=progress, accounting=accounting
     )
@@ -274,8 +198,6 @@ def write_golden(path: Optional[str] = None, jobs: int = 1, progress=None) -> st
     """Regenerate the committed golden file (sorted keys, newline EOF).
 
     Refuses to write a partial file when any cell errored."""
-    import json
-
     path = path or default_golden_path()
     outputs, traced, errors = run_golden(jobs=jobs, progress=progress)
     if errors:
@@ -288,7 +210,4 @@ def write_golden(path: Optional[str] = None, jobs: int = 1, progress=None) -> st
         "outputs": outputs,
         "trace_digests": traced,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(doc, path)

@@ -6,25 +6,7 @@ types) while its wall-clock fields vary run to run; the per-scenario
 schedule-identity oracle.  Documents are written with sorted keys and
 a trailing newline so regenerating one produces a minimal diff.
 
-Top-level document::
-
-    {
-      "schema": "repro-bench/1",
-      "suite": "engine" | "workloads",
-      "quick": bool,
-      "host": {"python": "3.11.7", "platform": "linux"},
-      "scenarios": [
-        {
-          "name": str,
-          "params": {...},            # scenario-defining knobs
-          "ops": int,                  # deterministic op count
-          "sim_seconds": float | null, # simulated time covered
-          "wall_seconds": float,       # best-of-N wall clock
-          "events_per_sec": int,       # ops / wall_seconds
-          "trace_digest": str | null   # schedule-identity hash
-        }, ...
-      ]
-    }
+The shape is :data:`_SPEC` below, field by field.
 
 :func:`compare_to_baseline` implements the CI regression gate: each
 scenario present in both documents must be no slower than
@@ -35,40 +17,54 @@ their timing repeats (the raw repeats ride along in
 gate; digest comparison is exact and unaffected.
 
 Parallel runs add an optional top-level ``parallel`` block (also
-wall-clock-only, never part of any digest)::
-
-    "parallel": {
-      "jobs": int,
-      "cells": [{"name", "kind", "wall_seconds", ["error"]}, ...],
-      "total_wall_seconds": float,   # observed sweep wall clock
-      "serial_cell_seconds": float,  # sum of per-cell wall clocks
-      "speedup": float               # serial / total
-    }
+wall-clock-only, never part of any digest).
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import sys
 from typing import Dict, List, Optional, Tuple
+
+from ..document import NUMBER, Maybe, check
 
 __all__ = [
     "BENCH_SCHEMA",
     "bench_document",
     "validate_bench_document",
     "compare_to_baseline",
-    "write_bench_document",
 ]
 
 BENCH_SCHEMA = "repro-bench/1"
 
-_SCENARIO_FIELDS = {
-    "name": str,
-    "params": dict,
-    "ops": int,
-    "wall_seconds": (int, float),
-    "events_per_sec": int,
+_SPEC = {
+    "schema": {BENCH_SCHEMA},
+    "suite": {"engine", "workloads"},
+    "quick": bool,
+    "host": {"python": str},  # "3.11.7"; also platform and machine
+    "scenarios": [
+        {
+            "name": str,
+            "params": dict,  # scenario-defining knobs
+            "ops": int,  # deterministic op count
+            # "sim_seconds": float | null — simulated time covered
+            "wall_seconds": NUMBER,  # wall clock (engine: median of repeats)
+            "events_per_sec": int,  # ops / wall_seconds
+            "trace_digest": Maybe(str),  # schedule-identity hash
+            "wall_seconds_repeats": Maybe([NUMBER]),
+        }
+    ],
+    # :func:`repro.parallel.pool_accounting`'s block
+    "parallel": Maybe(
+        {
+            "jobs": int,
+            "total_wall_seconds": NUMBER,  # observed sweep wall clock
+            "serial_cell_seconds": NUMBER,  # sum of per-cell wall clocks
+            "speedup": NUMBER,  # serial / total
+            # each also has "kind", and "error" when the cell failed
+            "cells": [{"name": str, "wall_seconds": NUMBER}],
+        }
+    ),
 }
 
 
@@ -98,88 +94,27 @@ def bench_document(
     return doc
 
 
-def write_bench_document(doc: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def validate_bench_document(doc: Dict) -> List[str]:
+def validate_bench_document(doc) -> List[str]:
     """Schema check; returns a list of problems (empty when valid)."""
-    problems = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_SCHEMA:
-        problems.append("schema is %r, expected %r" % (doc.get("schema"), BENCH_SCHEMA))
-    if doc.get("suite") not in ("engine", "workloads"):
-        problems.append("suite is %r, expected 'engine' or 'workloads'" % doc.get("suite"))
-    if not isinstance(doc.get("quick"), bool):
-        problems.append("quick must be a bool")
-    host = doc.get("host")
-    if not isinstance(host, dict) or "python" not in host:
-        problems.append("host must be an object with a 'python' field")
-    scenarios = doc.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
+    problems = check(doc, _SPEC)
+    if problems:
+        return problems
+    if not doc["scenarios"]:
+        problems.append("scenarios must be a non-empty list")
     seen = set()
-    for i, scenario in enumerate(scenarios):
+    for i, scenario in enumerate(doc["scenarios"]):
         where = "scenarios[%d]" % i
-        if not isinstance(scenario, dict):
-            problems.append("%s is not an object" % where)
-            continue
-        for field, types in _SCENARIO_FIELDS.items():
-            if field not in scenario:
-                problems.append("%s missing field %r" % (where, field))
-            elif not isinstance(scenario[field], types):
-                problems.append(
-                    "%s.%s has type %s" % (where, field, type(scenario[field]).__name__)
-                )
         digest = scenario.get("trace_digest")
-        if digest is not None and not (
-            isinstance(digest, str) and len(digest) == 64
-        ):
+        if digest is not None and len(digest) != 64:
             problems.append("%s.trace_digest must be null or a sha256 hex" % where)
-        repeats = scenario.get("wall_seconds_repeats")
-        if repeats is not None and not (
-            isinstance(repeats, list)
-            and repeats
-            and all(isinstance(w, (int, float)) for w in repeats)
-        ):
-            problems.append(
-                "%s.wall_seconds_repeats must be a non-empty number list" % where
-            )
-        name = scenario.get("name")
-        if name in seen:
-            problems.append("duplicate scenario name %r" % name)
-        seen.add(name)
-    problems.extend(_validate_parallel_block(doc.get("parallel")))
-    return problems
-
-
-def _validate_parallel_block(block) -> List[str]:
-    """Check the optional pool-accounting block (absent = fine)."""
-    if block is None:
-        return []
-    problems: List[str] = []
-    if not isinstance(block, dict):
-        return ["parallel must be an object"]
-    if not isinstance(block.get("jobs"), int) or block.get("jobs", 0) < 1:
+        if scenario.get("wall_seconds_repeats") == []:
+            problems.append("%s.wall_seconds_repeats must be non-empty" % where)
+        if scenario["name"] in seen:
+            problems.append("duplicate scenario name %r" % scenario["name"])
+        seen.add(scenario["name"])
+    parallel = doc.get("parallel")
+    if parallel is not None and parallel["jobs"] < 1:
         problems.append("parallel.jobs must be a positive int")
-    for field in ("total_wall_seconds", "serial_cell_seconds", "speedup"):
-        if not isinstance(block.get(field), (int, float)):
-            problems.append("parallel.%s must be a number" % field)
-    cells = block.get("cells")
-    if not isinstance(cells, list):
-        return problems + ["parallel.cells must be a list"]
-    for i, cell in enumerate(cells):
-        where = "parallel.cells[%d]" % i
-        if not isinstance(cell, dict):
-            problems.append("%s is not an object" % where)
-            continue
-        if not isinstance(cell.get("name"), str):
-            problems.append("%s.name must be a string" % where)
-        if not isinstance(cell.get("wall_seconds"), (int, float)):
-            problems.append("%s.wall_seconds must be a number" % where)
     return problems
 
 

@@ -30,8 +30,8 @@ memory footprint); the variant's parameters are recorded in
 
 from __future__ import annotations
 
-import fnmatch
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..experiments.cluster import (
@@ -39,7 +39,11 @@ from ..experiments.cluster import (
     build_cluster,
     build_sharded_cluster,
 )
+from ..experiments.sort import SORT_SIZES, run_sort
+from ..experiments.traced import run_traced_andrew
+from ..trace import Tracer, trace_digest
 from ..workloads import edit_compile
+from .suite import run_suite
 
 __all__ = [
     "WORKLOAD_SCENARIOS",
@@ -84,15 +88,7 @@ def sharded_point(
         assignments=assignments,
         seed=seed,
     )
-    t0 = bed.sim.now
-    coros = [
-        edit_compile(kernel, "/data/shared", iterations, file_blocks, "u%d." % i)
-        if hot_dir
-        else edit_compile(kernel, "/data/user%d" % i, iterations, file_blocks)
-        for i, kernel in enumerate(bed.kernels)
-    ]
-    bed.run_all(*coros, limit=1e6)
-    return bed, bed.sim.now - t0
+    return _edit_compile_load(bed, iterations, file_blocks, hot_dir)
 
 
 def cluster_point(
@@ -104,9 +100,15 @@ def cluster_point(
 ):
     """Run one (protocol, N) cluster workload; returns (bed, sim_seconds)."""
     bed = build_cluster(protocol, n_clients, seed=seed)
+    return _edit_compile_load(bed, iterations, file_blocks)
+
+
+def _edit_compile_load(bed, iterations: int, file_blocks: int, hot_dir: bool = False):
     t0 = bed.sim.now
     coros = [
-        edit_compile(kernel, "/data/user%d" % i, iterations, file_blocks)
+        edit_compile(kernel, "/data/shared", iterations, file_blocks, "u%d." % i)
+        if hot_dir
+        else edit_compile(kernel, "/data/user%d" % i, iterations, file_blocks)
         for i, kernel in enumerate(bed.kernels)
     ]
     bed.run_all(*coros, limit=1e6)
@@ -119,120 +121,45 @@ def cluster_point(
 # taken by the caller around the runner).
 
 
-def _run_andrew(protocol: str):
-    def run() -> Dict:
-        from ..experiments.traced import run_traced_andrew
-
-        result = run_traced_andrew(protocol, seed=1989, trace=False)
-        server = result.server_host
-        ops = (
-            server.rpc.server_stats.total()
-            + server.rpc.client_stats.total()
-            + sum(d.stats.total() for d in server.disks.values())
-        )
-        return {"ops": ops, "sim_seconds": result.sim.now}
-
-    return run
+def _run_andrew(protocol: str) -> Dict:
+    result = run_traced_andrew(protocol, seed=1989, trace=False)
+    server = result.server_host
+    ops = (
+        server.rpc.server_stats.total()
+        + server.rpc.client_stats.total()
+        + sum(d.stats.total() for d in server.disks.values())
+    )
+    return {"ops": ops, "sim_seconds": result.sim.now}
 
 
-def _run_sort(protocol: str, full_bytes_index: int = -1):
-    def run(quick_bytes_index: Optional[int] = None) -> Dict:
-        from ..experiments.sort import SORT_SIZES, run_sort
-
-        index = full_bytes_index if quick_bytes_index is None else quick_bytes_index
-        result = run_sort(protocol, input_bytes=SORT_SIZES[index])
-        ops = result.rpc_rows.get("total", 0)
-        ops += sum(result.server_disk.values()) + sum(result.client_disk.values())
-        return {"ops": ops, "sim_seconds": result.result.elapsed}
-
-    return run
+def _run_sort(protocol: str, size_index: int) -> Dict:
+    result = run_sort(protocol, input_bytes=SORT_SIZES[size_index])
+    ops = result.rpc_rows.get("total", 0)
+    ops += sum(result.server_disk.values()) + sum(result.client_disk.values())
+    return {"ops": ops, "sim_seconds": result.result.elapsed}
 
 
-def _run_cluster(protocol: str, n_clients: int, iterations: int = 3):
-    def run() -> Dict:
-        bed, sim_seconds = cluster_point(protocol, n_clients, iterations=iterations)
-        ops = bed.total_rpcs() + sum(
-            d.stats.total() for d in bed.server_host.disks.values()
-        )
-        return {"ops": ops, "sim_seconds": sim_seconds}
-
-    return run
-
-
-def _run_sharded(
-    protocol: str,
-    n_shards: int,
-    n_clients: int,
-    iterations: int = 3,
-    hot_dir: bool = False,
-):
-    def run() -> Dict:
-        bed, sim_seconds = sharded_point(
-            protocol, n_shards, n_clients, iterations=iterations, hot_dir=hot_dir
-        )
-        ops = bed.total_rpcs() + sum(
-            d.stats.total()
-            for host in bed.server_hosts
-            for d in host.disks.values()
-        )
-        return {"ops": ops, "sim_seconds": sim_seconds}
-
-    return run
+def _run_point(point: Callable, *args, **kwargs) -> Dict:
+    """Run :func:`cluster_point` or :func:`sharded_point`."""
+    bed, sim_seconds = point(*args, **kwargs)
+    ops = bed.total_rpcs() + sum(
+        d.stats.total() for host in bed.server_hosts for d in host.disks.values()
+    )
+    return {"ops": ops, "sim_seconds": sim_seconds}
 
 
 # -- trace-digest variants ---------------------------------------------------
 
 
-def _digest_of(run_fn: Callable[[], object]) -> List[str]:
-    """Run ``run_fn`` with the tracer armed; return its trace digests."""
-    import os
-
-    from ..trace import Tracer, trace_digest
-
-    Tracer.drain_instances()
-    had = os.environ.get("REPRO_TRACE")
-    os.environ["REPRO_TRACE"] = "1"
-    try:
-        run_fn()
-    finally:
-        if had is None:
-            os.environ.pop("REPRO_TRACE", None)
-        else:
-            os.environ["REPRO_TRACE"] = had
-    return [trace_digest(tracer) for tracer in Tracer.drain_instances()]
+def _digest_of(run_fn: Callable, *args, **kwargs) -> str:
+    """Call ``run_fn`` with the tracer armed; digest the first trace."""
+    _, tracers = Tracer.capture(partial(run_fn, *args, **kwargs))
+    return trace_digest(tracers[0])
 
 
-def _andrew_digest(protocol: str) -> str:
-    from ..experiments.traced import run_traced_andrew
-    from ..trace import trace_digest
-
+def andrew_digest(protocol: str) -> str:
+    """The trace digest of the two-client Andrew run (seed 1989)."""
     return trace_digest(run_traced_andrew(protocol, seed=1989).tracer)
-
-
-def _sort_digest(protocol: str) -> str:
-    from ..experiments.sort import SORT_SIZES, run_sort
-
-    digests = _digest_of(lambda: run_sort(protocol, input_bytes=SORT_SIZES[0]))
-    return digests[0]
-
-
-def _cluster_digest(protocol: str) -> str:
-    digests = _digest_of(lambda: cluster_point(protocol, 4, iterations=2))
-    return digests[0]
-
-
-def _sharded_digest(protocol: str) -> str:
-    digests = _digest_of(
-        lambda: sharded_point(protocol, 2, 4, iterations=2, seed=11)
-    )
-    return digests[0]
-
-
-def _sweep_digest() -> str:
-    """The fixed-size schedule oracle the large-N sweep points share
-    (8 clients, 1 iteration — the sweep's parameters at toy scale)."""
-    digests = _digest_of(lambda: cluster_point("snfs", 8, iterations=1))
-    return digests[0]
 
 
 # -- the suite ---------------------------------------------------------------
@@ -242,6 +169,32 @@ CLUSTER_NS = (16, 64, 256)
 #: the large-N scaling points (full suite only): one iteration per
 #: client keeps a 4096-client simulation around a minute of wall clock
 SWEEP_NS = (1024, 4096)
+
+
+def _point_scenario(
+    name: str,
+    point: Callable,
+    kwargs: Dict,
+    variant: Optional[Dict] = None,
+    digest: bool = False,
+    **recorded,
+) -> Dict:
+    """The descriptor of a load point: ``point(**kwargs)``, timed.
+
+    ``variant`` overrides ``kwargs`` down to the small size whose trace
+    is the family's schedule oracle; the scenario that carries the
+    ``digest`` runs it.  ``recorded`` are params the document shows
+    that ``point`` takes no argument for."""
+    params = dict(kwargs, **recorded)
+    if variant is not None:
+        params["digest_variant"] = variant
+    return {
+        "name": name,
+        "params": params,
+        "run": partial(_run_point, point, **kwargs),
+        "digest": partial(_digest_of, point, **dict(kwargs, **variant))
+        if digest else None,
+    }
 
 
 def _scenarios(quick: bool, extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
@@ -256,8 +209,8 @@ def _scenarios(quick: bool, extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
             {
                 "name": "andrew-2client-%s" % protocol,
                 "params": {"protocol": protocol, "seed": 1989, "tree": "small"},
-                "run": _run_andrew(protocol),
-                "digest": lambda p=protocol: _andrew_digest(p),
+                "run": partial(_run_andrew, protocol),
+                "digest": partial(andrew_digest, protocol),
             }
         )
     sort_index = 0 if quick else -1
@@ -269,8 +222,8 @@ def _scenarios(quick: bool, extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
                 "size_index": sort_index,
                 "digest_variant": {"size_index": 0},
             },
-            "run": lambda: _run_sort("nfs")(sort_index),
-            "digest": lambda: _sort_digest("nfs"),
+            "run": partial(_run_sort, "nfs", sort_index),
+            "digest": partial(_digest_of, run_sort, "nfs", input_bytes=SORT_SIZES[0]),
         }
     )
     cluster_ns = (16,) if quick else CLUSTER_NS
@@ -278,75 +231,53 @@ def _scenarios(quick: bool, extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
     for protocol in protocols:
         for n in cluster_ns:
             out.append(
-                {
-                    "name": "cluster-%s-n%d" % (protocol, n),
-                    "params": {
-                        "protocol": protocol,
-                        "n_clients": n,
-                        "iterations": 3,
-                        "digest_variant": {"n_clients": 4, "iterations": 2},
-                    },
-                    "run": _run_cluster(protocol, n),
+                _point_scenario(
+                    "cluster-%s-n%d" % (protocol, n),
+                    cluster_point,
+                    {"protocol": protocol, "n_clients": n, "iterations": 3},
+                    {"n_clients": 4, "iterations": 2},
                     # digest one small variant per protocol (at every N
                     # the schedule differs; the variant is the oracle)
-                    "digest": (lambda p=protocol: _cluster_digest(p)) if n == min(cluster_ns) else None,
-                }
+                    digest=n == min(cluster_ns),
+                )
             )
     # the sharded-namespace sweep: same load, N servers behind one tree
     sharded_clients = 8 if quick else 16
-    shard_ns = (1, 4) if quick else (1, 2, 4)
-    for n_shards in shard_ns:
+    sharded = {"protocol": "snfs", "n_clients": sharded_clients, "iterations": 3}
+    for n_shards in (1, 4) if quick else (1, 2, 4):
         out.append(
-            {
-                "name": "sharded-snfs-s%d" % n_shards,
-                "params": {
-                    "protocol": "snfs",
-                    "n_shards": n_shards,
-                    "n_clients": sharded_clients,
-                    "iterations": 3,
-                    "strategy": "subtree",
-                    "digest_variant": {
-                        "n_shards": 2, "n_clients": 4, "iterations": 2, "seed": 11,
-                    },
-                },
-                "run": _run_sharded("snfs", n_shards, sharded_clients),
+            _point_scenario(
+                "sharded-snfs-s%d" % n_shards,
+                sharded_point,
+                dict(sharded, n_shards=n_shards),
+                {"n_shards": 2, "n_clients": 4, "iterations": 2, "seed": 11},
                 # one digest for the sweep, on a small fixed variant
-                "digest": (lambda: _sharded_digest("snfs")) if n_shards == 1 else None,
-            }
+                digest=n_shards == 1,
+                strategy="subtree",
+            )
         )
     out.append(
-        {
-            "name": "sharded-snfs-hotdir-s4",
-            "params": {
-                "protocol": "snfs",
-                "n_shards": 4,
-                "n_clients": sharded_clients,
-                "iterations": 3,
-                "strategy": "subtree",
-                "hot_dir": True,
-            },
-            "run": _run_sharded("snfs", 4, sharded_clients, hot_dir=True),
-            "digest": None,
-        }
+        _point_scenario(
+            "sharded-snfs-hotdir-s4",
+            sharded_point,
+            dict(sharded, n_shards=4, hot_dir=True),
+            strategy="subtree",
+        )
     )
     # the large-N scaling sweep the process pool unlocks: committed
     # points at 1024/4096 clients (full suite only), plus any --n
     # opt-in sizes; the schedule oracle is one shared fixed-size
-    # variant, since every N runs a different schedule by definition
-    sweep_ns = () if quick else SWEEP_NS
-    for n in tuple(sweep_ns) + tuple(extra_ns):
+    # variant (the sweep's parameters at toy scale), since every N runs
+    # a different schedule by definition
+    for n in (() if quick else SWEEP_NS) + tuple(extra_ns):
         out.append(
-            {
-                "name": "sweep-n%d" % n,
-                "params": {
-                    "protocol": "snfs",
-                    "n_clients": n,
-                    "iterations": 1,
-                    "digest_variant": {"n_clients": 8, "iterations": 1},
-                },
-                "run": _run_cluster("snfs", n, iterations=1),
-                "digest": (lambda: _sweep_digest()) if n in SWEEP_NS else None,
-            }
+            _point_scenario(
+                "sweep-n%d" % n,
+                cluster_point,
+                {"protocol": "snfs", "n_clients": n, "iterations": 1},
+                {"n_clients": 8, "iterations": 1},
+                digest=n in SWEEP_NS,
+            )
         )
     return out
 
@@ -389,7 +320,6 @@ def run_workload_cell(
 def run_workload_suite(
     quick: bool = False,
     digests: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
     only: Optional[str] = None,
     jobs: int = 1,
     extra_ns: Tuple[int, ...] = (),
@@ -398,59 +328,15 @@ def run_workload_suite(
 ) -> List[Dict]:
     """Run every workload scenario once; returns scenario result dicts.
 
-    ``only`` is an fnmatch pattern (``sharded-*``) or exact scenario
-    name restricting which scenarios run.  ``jobs`` farms scenarios to
-    the :mod:`repro.parallel` cell pool (``1`` executes in-process,
-    byte-identically); ``extra_ns`` adds opt-in ``sweep-n<N>`` points;
-    ``accounting`` (a dict) receives the pool timing block."""
-    from ..parallel import CellSpec, pool_accounting, run_cells
-
-    names = []
-    for scenario in _scenarios(quick, extra_ns=extra_ns):
-        if only is not None and not fnmatch.fnmatch(scenario["name"], only):
-            continue
-        names.append(scenario["name"])
-    specs = [
-        CellSpec(
-            kind="bench-workload",
-            name=name,
-            params={
-                "quick": quick,
-                "digests": digests,
-                "extra_ns": list(extra_ns),
-            },
-        )
-        for name in names
-    ]
-    t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
-    if jobs <= 1:
-        # the serial path announces each scenario before it runs, as it
-        # always did; pooled runs report completions via pool_progress
-        from ..parallel import run_cell_spec
-
-        rows = []
-        for i, spec in enumerate(specs):
-            if progress is not None:
-                progress(spec.name)
-            row = run_cell_spec(spec)
-            rows.append(row)
-            if pool_progress is not None:
-                pool_progress(i + 1, len(specs), row)
-    else:
-        rows = run_cells(specs, jobs=jobs, progress=pool_progress)
-    total = time.perf_counter() - t0  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
-    if accounting is not None:
-        accounting.update(pool_accounting(rows, total, jobs))
-    results = []
-    for row in rows:
-        if row["error"]:
-            if accounting is None:
-                raise RuntimeError(
-                    "workload scenario %r failed: %s" % (row["name"], row["error"])
-                )
-            continue
-        results.append(row["result"])
-    return results
+    ``extra_ns`` adds opt-in ``sweep-n<N>`` points; ``only``, ``jobs``,
+    ``pool_progress`` and ``accounting`` are
+    :func:`~repro.bench.suite.run_suite`'s."""
+    return run_suite(
+        "bench-workload",
+        [s["name"] for s in _scenarios(quick, extra_ns=extra_ns)],
+        {"quick": quick, "digests": digests, "extra_ns": list(extra_ns)},
+        only=only, jobs=jobs, progress=pool_progress, accounting=accounting,
+    )
 
 
 WORKLOAD_SCENARIOS = [s["name"] for s in _scenarios(quick=False)]

@@ -204,26 +204,6 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
-    # -- bridging the legacy per-component objects -------------------------
-
-    def absorb_counters(self, name: str, counters, **labels) -> Counter:
-        """Fold a legacy :class:`repro.metrics.Counters` into ``name``,
-        one label set per counter key (``op=<key>`` plus ``labels``)."""
-        inst = self.counter(name)
-        for op, value in sorted(counters.as_dict().items()):
-            inst.inc(value, op=op, **labels)
-        return inst
-
-    def absorb_series(self, name: str, series, **labels) -> Histogram:
-        """Fold a legacy :class:`TimeSeries`' values into a histogram
-        (unit-interval buckets suit utilization fractions)."""
-        inst = self.histogram(
-            name, buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-        )
-        for _, value in series.points:
-            inst.observe(value, **labels)
-        return inst
-
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
         for name, inst in sorted(self._instruments.items()):

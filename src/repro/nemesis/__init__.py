@@ -22,12 +22,7 @@ from .matrix import (
     validate_nemesis_document,
 )
 from .plans import NEMESIS_PLANS, NemesisPlanSpec, QUICK_PLANS, plan_events
-from .sharded import (
-    SHARDED_PROTOCOLS,
-    render_sharded_cells,
-    run_sharded_cell,
-    run_sharded_cells,
-)
+from .sharded import SHARDED_PROTOCOLS, SHARDED_ROWS
 from .workloads import NEMESIS_WORKLOADS, run_workload
 
 __all__ = [
@@ -44,12 +39,10 @@ __all__ = [
     "nemesis_obs_artifact",
     "plan_events",
     "render_matrix",
-    "render_sharded_cells",
     "run_cell",
     "run_matrix",
-    "run_sharded_cell",
-    "run_sharded_cells",
     "run_workload",
     "validate_nemesis_document",
     "SHARDED_PROTOCOLS",
+    "SHARDED_ROWS",
 ]

@@ -22,19 +22,22 @@ standalone — a failing cell's record carries the exact
 
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 import hashlib
 import json
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..document import NUMBER, check, write_json
 from ..experiments.bed import PROTOCOL_REGISTRY
 from ..experiments.resilience import ResilienceBed, sharing_client_config
 from ..faults import FaultPlan
 from ..metrics import format_table
+from ..parallel import CellSpec, sweep
 from .plans import NEMESIS_PLANS, plan_events
+from .sharded import SHARDED_PROTOCOLS, SHARDED_ROWS
 from .workloads import NEMESIS_WORKLOADS, run_workload
 
 __all__ = [
@@ -90,39 +93,25 @@ class NemesisCell:
 
     @property
     def repro_command(self) -> str:
-        return "python -m repro nemesis --seed SEED --only %s" % self.id
+        row_set = "--sharded " if (self.workload, self.plan) in SHARDED_ROWS else ""
+        return "python -m repro nemesis %s--seed SEED --only %s" % (row_set, self.id)
 
     def as_dict(self) -> Dict:
-        return {
-            "id": self.id,
-            "protocol": self.protocol,
-            "workload": self.workload,
-            "plan": self.plan,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "elapsed": round(self.elapsed, 6),
-            "violations": dict(sorted(self.violations.items())),
-            "allowed": sorted(self.allowed),
-            "stats": dict(sorted(self.stats.items())),
-            "fault_events": self.fault_events,
-            "recovery_rejections": self.recovery_rejections,
-            "error": self.error,
-        }
+        """The JSON form: fields in declaration order, maps sorted."""
+        data = dataclasses.asdict(self)
+        data.update(
+            elapsed=round(self.elapsed, 6),
+            violations=dict(sorted(self.violations.items())),
+            allowed=sorted(self.allowed),
+            stats=dict(sorted(self.stats.items())),
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "NemesisCell":
         """Rebuild a cell from its :meth:`as_dict` form (the shape a
         pool worker ships back); round-trips exactly."""
-        return cls(
-            id=data["id"], protocol=data["protocol"],
-            workload=data["workload"], plan=data["plan"],
-            seed=data["seed"], verdict=data["verdict"],
-            elapsed=data["elapsed"], violations=dict(data["violations"]),
-            allowed=list(data["allowed"]), stats=dict(data["stats"]),
-            fault_events=data["fault_events"],
-            recovery_rejections=data["recovery_rejections"],
-            error=data.get("error"),
-        )
+        return cls(**data)
 
 
 def cell_id(protocol: str, workload: str, plan: str) -> str:
@@ -142,44 +131,63 @@ def _allowed_kinds(protocol: str, plan: str) -> frozenset:
     return allowed
 
 
-def run_cell(protocol: str, workload: str, plan: str, seed: int) -> NemesisCell:
-    """Build, fault, drive, and judge one matrix cell."""
+def _unscored_cell(protocol: str, workload: str, plan: str, seed: int) -> NemesisCell:
+    """The cell before anything ran (``fail`` until judged) and what
+    its protocol is allowed."""
     cid = cell_id(protocol, workload, plan)
-    cseed = cell_seed(cid, seed)
-    allowed = _allowed_kinds(protocol, plan)
-    cell = NemesisCell(
+    row = SHARDED_ROWS.get((workload, plan))
+    allowed = _allowed_kinds(protocol, plan if row is None else row.schedule)
+    return NemesisCell(
         id=cid, protocol=protocol, workload=workload, plan=plan,
-        seed=cseed, verdict="fail", allowed=sorted(allowed),
+        seed=cell_seed(cid, seed), verdict="fail", allowed=sorted(allowed),
     )
 
+
+def run_cell(protocol: str, workload: str, plan: str, seed: int) -> NemesisCell:
+    """Build, fault, drive, and judge one cell: a matrix cell on the
+    two-client one-server bed, or — when ``(workload, plan)`` names one
+    of :data:`SHARDED_ROWS` — that row's topology, with its two extra
+    pass conditions."""
+    cell = _unscored_cell(protocol, workload, plan, seed)
+    cseed = cell.seed
+    row = SHARDED_ROWS.get((workload, plan))
+
     try:
-        # NFS mounts with the era-accurate configuration whose staleness
-        # window §2.1/§2.3 argue against — the matrix documents it
-        bed = ResilienceBed(
-            protocol, n_clients=2, seed=cseed,
-            client_config=sharing_client_config(protocol),
-        )
+        if row is None:
+            # NFS mounts with the era-accurate configuration whose
+            # staleness window §2.1/§2.3 argue against — the matrix
+            # documents it
+            bed = ResilienceBed(
+                protocol, n_clients=2, seed=cseed,
+                client_config=sharing_client_config(protocol),
+            )
+            events = plan_events(plan)
+        else:
+            bed = row.build(protocol, cseed)
+            events = plan_events(
+                row.schedule, server="server%d" % row.crashed_shard
+            )
         metrics = bed.sim.enable_metrics()
         bed.injector.trace = True
-        bed.injector.install(FaultPlan(events=plan_events(plan), seed=cseed))
+        bed.injector.install(FaultPlan(events=events, seed=cseed))
+        epochs = bed.boot_epochs()
         t0 = bed.sim.now
-        cell.stats = run_workload(workload, bed)
+        cell.stats = run_workload(workload, bed) if row is None else row.workload(bed)
         bed.final_checks()
         cell.elapsed = bed.sim.now - t0
     except Exception as exc:  # noqa: BLE001 - a crash IS the verdict
         cell.error = "%s: %s" % (type(exc).__name__, exc)
-        cell.verdict = "fail"
         return cell
 
     cell.violations = bed.oracle.summary()
     cell.fault_events = len(bed.injector.log)
     cell.recovery_rejections = metrics.counter("recovery.rejections").total()
-    if not cell.violations:
+    if row is not None:
+        cell.error = row.judge_epochs(cell.stats, epochs, bed.boot_epochs())
+    if cell.error is None and not cell.violations:
         cell.verdict = "pass"
-    elif set(cell.violations) <= allowed:
+    elif cell.error is None and set(cell.violations) <= set(cell.allowed):
         cell.verdict = "expected"
-    else:
-        cell.verdict = "fail"
     return cell
 
 
@@ -189,7 +197,6 @@ def run_matrix(
     workloads: Optional[Tuple[str, ...]] = None,
     plans: Optional[Tuple[str, ...]] = None,
     only: Optional[str] = None,
-    progress=None,
     jobs: int = 1,
     pool_progress=None,
     timing: Optional[Dict] = None,
@@ -197,92 +204,60 @@ def run_matrix(
     """Run the matrix (or the ``only`` subset); returns cells in
     deterministic (protocol, workload, plan) declaration order.
 
-    ``only`` accepts an fnmatch pattern (``snfs/*/crash-*``) or an
-    exact cell id.  ``jobs`` farms cells to the :mod:`repro.parallel`
-    pool — cells are already independently seeded via
-    ``crc32(cell_id) ^ seed``, so the verdicts and the document digest
-    are identical at any job count.  ``timing`` (a dict) receives the
-    pool's per-cell + speedup accounting block.
+    The axes default to the conformance matrix; naming a
+    :data:`SHARDED_ROWS` workload and plan (with ``protocols`` from
+    :data:`SHARDED_PROTOCOLS`) sweeps those rows instead.  ``only``
+    accepts an fnmatch pattern (``snfs/*/crash-*``) or an exact cell
+    id.  ``jobs`` farms cells to the :mod:`repro.parallel` pool — cells
+    are already independently seeded via ``crc32(cell_id) ^ seed``, so
+    the verdicts and the document digest are identical at any job
+    count.  ``timing`` (a dict) receives the pool's per-cell + speedup
+    accounting block.
     """
-    from ..parallel import CellSpec, pool_accounting, run_cells
-
-    workloads = tuple(workloads or NEMESIS_WORKLOADS)
-    plans = tuple(plans or NEMESIS_PLANS)
-    for p in protocols:
-        if p not in ALL_PROTOCOLS:
-            raise ValueError("unknown protocol %r" % p)
-    for w in workloads:
-        if w not in NEMESIS_WORKLOADS:
-            raise ValueError("unknown workload %r" % w)
-    for pl in plans:
-        if pl not in NEMESIS_PLANS:
-            raise ValueError("unknown plan %r" % pl)
-    triples = []
-    for protocol in protocols:
-        for workload in workloads:
-            for plan in plans:
-                cid = cell_id(protocol, workload, plan)
-                if only is not None and not fnmatch.fnmatch(cid, only):
-                    continue
-                triples.append((cid, protocol, workload, plan))
-    if only is not None and not triples:
+    triples = [
+        (protocol, workload, plan)
+        for protocol in protocols
+        for workload in workloads or NEMESIS_WORKLOADS
+        for plan in plans or NEMESIS_PLANS
+    ]
+    for protocol, workload, plan in triples:
+        if (workload, plan) in SHARDED_ROWS:
+            if protocol not in SHARDED_PROTOCOLS:
+                raise ValueError(
+                    "sharded cell protocol must be one of %s, got %r"
+                    % (", ".join(SHARDED_PROTOCOLS), protocol)
+                )
+        elif protocol not in ALL_PROTOCOLS:
+            raise ValueError("unknown protocol %r" % protocol)
+        elif workload not in NEMESIS_WORKLOADS:
+            raise ValueError("unknown workload %r" % workload)
+        elif plan not in NEMESIS_PLANS:
+            raise ValueError("unknown plan %r" % plan)
+    specs = [
+        CellSpec(
+            kind="nemesis-cell",
+            name=cell_id(protocol, workload, plan),
+            params={"protocol": protocol, "workload": workload, "plan": plan},
+            seed=seed,
+        )
+        for protocol, workload, plan in triples
+        if only is None or fnmatch.fnmatch(cell_id(protocol, workload, plan), only)
+    ]
+    if only is not None and not specs:
         raise ValueError(
             "no cell matches %r (format: protocol/workload/plan, "
             "fnmatch patterns allowed)" % only
         )
-    if jobs <= 1:
-        t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
-        cells = []
-        rows = []
-        for i, (cid, protocol, workload, plan) in enumerate(triples):
-            if progress is not None:
-                progress(cid)
-            c0 = time.perf_counter()  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
-            cell = run_cell(protocol, workload, plan, seed)
-            wall = time.perf_counter() - c0  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
-            cells.append(cell)
-            rows.append(
-                {
-                    "kind": "nemesis-cell", "name": cid,
-                    "wall_seconds": round(wall, 6),
-                    "error": None if cell.error is None else cell.error,
-                }
-            )
-            if pool_progress is not None:
-                pool_progress(i + 1, len(triples), rows[-1])
-        if timing is not None:
-            timing.update(
-                pool_accounting(rows, time.perf_counter() - t0, 1)  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
-            )
-        return cells
-    specs = [
-        CellSpec(
-            kind="nemesis-cell",
-            name=cid,
-            params={"protocol": protocol, "workload": workload, "plan": plan},
-            seed=seed,
-        )
-        for cid, protocol, workload, plan in triples
-    ]
-    t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
-    rows = run_cells(specs, jobs=jobs, progress=pool_progress)
-    total = time.perf_counter() - t0  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
+    rows, accounting = sweep(specs, jobs=jobs, progress=pool_progress)
     if timing is not None:
-        timing.update(pool_accounting(rows, total, jobs))
+        timing.update(accounting)
     cells = []
-    for row, (cid, protocol, workload, plan) in zip(rows, triples):
-        if row["error"] is not None and row["result"] is None:
-            # the worker process died: synthesize the fail row run_cell
-            # would have produced had the exception stayed in-process
-            cseed = cell_seed(cid, seed)
-            cells.append(
-                NemesisCell(
-                    id=cid, protocol=protocol, workload=workload, plan=plan,
-                    seed=cseed, verdict="fail",
-                    allowed=sorted(_allowed_kinds(protocol, plan)),
-                    error=row["error"],
-                )
-            )
+    for row, spec in zip(rows, specs):
+        if row["result"] is None:
+            # the worker process died: the fail row run_cell would have
+            # produced had the exception stayed in-process
+            cells.append(_unscored_cell(seed=seed, **spec.params))
+            cells[-1].error = row["error"]
         else:
             cells.append(NemesisCell.from_dict(row["result"]))
     return cells
@@ -298,8 +273,7 @@ def nemesis_obs_artifact(path: str, seed: int = 1) -> str:
     queueing.  A *separate* run (rather than instrumenting the matrix
     cells) keeps the matrix's own digests untouched by obs wiring.
     """
-    from ..obs import obs_document
-    from ..obs.cli import write_obs_document
+    from ..obs import OBS_INDENT, obs_document
 
     cid = cell_id("snfs", "seq-sharing", "flaky-net")
     cseed = cell_seed(cid, seed)
@@ -318,10 +292,15 @@ def nemesis_obs_artifact(path: str, seed: int = 1) -> str:
         },
         metrics=bed.sim.metrics,
     )
-    return write_obs_document(doc, path)
+    return write_json(doc, path, indent=OBS_INDENT)
 
 
 # -- the machine-readable document -------------------------------------------
+
+
+def _cells_digest(cell_dicts: List[Dict]) -> str:
+    canon = json.dumps(cell_dicts, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def nemesis_document(
@@ -336,7 +315,6 @@ def nemesis_document(
     digest: wall clock is honest measurement, never part of identity.
     """
     cell_dicts = [c.as_dict() for c in cells]
-    canon = json.dumps(cell_dicts, sort_keys=True, separators=(",", ":"))
     summary = {"pass": 0, "expected": 0, "fail": 0}
     for c in cells:
         summary[c.verdict] += 1
@@ -348,54 +326,39 @@ def nemesis_document(
         "plans": sorted({c.plan for c in cells}),
         "summary": summary,
         "cells": cell_dicts,
-        "digest": hashlib.sha256(canon.encode()).hexdigest(),
+        "digest": _cells_digest(cell_dicts),
     }
     if timing:
         doc["timing"] = timing
     return doc
 
 
-_CELL_REQUIRED = {
-    "id": str, "protocol": str, "workload": str, "plan": str,
-    "seed": int, "verdict": str, "elapsed": (int, float),
-    "violations": dict, "allowed": list, "stats": dict,
-    "fault_events": int, "recovery_rejections": (int, float),
+_SPEC = {
+    "schema": {NEMESIS_SCHEMA},
+    "seed": int,
+    "protocols": [str],
+    "workloads": [str],
+    "plans": [str],
+    "summary": {"pass": int, "expected": int, "fail": int},
+    "cells": [
+        {
+            "id": str, "protocol": str, "workload": str, "plan": str,
+            "seed": int, "verdict": {"pass", "expected", "fail"},
+            "elapsed": NUMBER, "violations": dict, "allowed": list,
+            "stats": dict, "fault_events": int,
+            "recovery_rejections": NUMBER,
+        }
+    ],
+    "digest": str,
 }
 
 
 def validate_nemesis_document(doc) -> List[str]:
     """Schema-check a nemesis document; returns problems (empty = valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != NEMESIS_SCHEMA:
-        problems.append(
-            "schema is %r, expected %r" % (doc.get("schema"), NEMESIS_SCHEMA)
-        )
-    for key in ("seed", "protocols", "workloads", "plans", "summary", "cells", "digest"):
-        if key not in doc:
-            problems.append("missing top-level key %r" % key)
-    cells = doc.get("cells", [])
-    if not isinstance(cells, list):
-        problems.append("cells is not an array")
-        cells = []
-    for i, cell in enumerate(cells):
-        where = "cells[%d]" % i
-        if not isinstance(cell, dict):
-            problems.append("%s is not an object" % where)
-            continue
-        for key, types in _CELL_REQUIRED.items():
-            if key not in cell:
-                problems.append("%s missing %r" % (where, key))
-            elif not isinstance(cell[key], types):
-                problems.append("%s.%s has wrong type" % (where, key))
-        if cell.get("verdict") not in ("pass", "expected", "fail"):
-            problems.append("%s.verdict not pass/expected/fail" % where)
-    # the digest must actually match the cells it claims to cover
-    if isinstance(cells, list) and "digest" in doc:
-        canon = json.dumps(cells, sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(canon.encode()).hexdigest() != doc["digest"]:
-            problems.append("digest does not match cells")
+    problems = check(doc, _SPEC)
+    if not problems and _cells_digest(doc["cells"]) != doc["digest"]:
+        # the digest must actually match the cells it claims to cover
+        problems.append("digest does not match cells")
     return problems
 
 

@@ -15,7 +15,7 @@ most likely to get wrong:
   then the server crashes: the healed client's retransmissions and the
   recovery window interleave.
 
-``plan_for(name, bed_names)`` materializes a plan against concrete
+``plan_events(name, server=...)`` binds a plan to concrete
 host/disk names; ``NEMESIS_PLANS`` lists every plan with the metadata
 the conformance table needs (does it crash the server?).
 """

@@ -31,7 +31,7 @@ from typing import Dict
 from ..fs import FsError
 from ..fs.types import OpenMode
 
-__all__ = ["NEMESIS_WORKLOADS", "run_workload"]
+__all__ = ["NEMESIS_WORKLOADS", "run_workload", "drive_sharing_pairs"]
 
 _RECORD = 64
 
@@ -41,55 +41,75 @@ def _record(seq: int) -> bytes:
     return body + b"." * (_RECORD - len(body))
 
 
-def run_seq_sharing(bed, n_updates: int = 10, write_period: float = 4.0,
-                    read_period: float = 1.5) -> Dict[str, int]:
-    """Writer commits records; reader polls until the last commit."""
-    sim = bed.sim
-    writer_kernel = bed.kernels[0]
-    reader_kernel = bed.kernels[1]
-    path = "/data/shared.dat"
-    stats = {"writes": 0, "reads": 0, "app_errors": 0}
-    state = {"done": False}
+#: the sharing workloads' size: records committed, and the writer's and
+#: reader's periods in simulated seconds
+N_UPDATES, WRITE_PERIOD, READ_PERIOD = 10, 4.0, 1.5
 
-    def setup():
-        fd = yield from writer_kernel.open(
+
+def drive_sharing_pairs(bed, pairs) -> Dict[str, int]:
+    """Run every ``(writer_kernel, reader_kernel, path)`` pair at once:
+    the writer commits :data:`N_UPDATES` records to ``path`` via
+    open/write/close while the reader polls it via open/read/close
+    until the last commit.  ``path``'s directory is created when it is
+    not the mount root."""
+    sim = bed.sim
+    stats = {"writes": 0, "reads": 0, "app_errors": 0}
+
+    def setup(kernel, path):
+        parent = path.rsplit("/", 1)[0]
+        if parent != "/data":
+            yield from kernel.mkdir(parent)
+        fd = yield from kernel.open(
             path, OpenMode.WRITE, create=True, truncate=True
         )
-        yield from writer_kernel.write(fd, _record(0))
-        yield from writer_kernel.close(fd)
+        yield from kernel.write(fd, _record(0))
+        yield from kernel.close(fd)
 
-    bed.run(setup())
-
-    def writer():
+    def writer(kernel, path, state):
         try:
-            for seq in range(1, n_updates + 1):
-                yield sim.timeout(write_period)
+            for seq in range(1, N_UPDATES + 1):
+                yield sim.timeout(WRITE_PERIOD)
                 try:
-                    fd = yield from writer_kernel.open(path, OpenMode.WRITE)
-                    yield from writer_kernel.write(fd, _record(seq))
-                    yield from writer_kernel.close(fd)
+                    fd = yield from kernel.open(path, OpenMode.WRITE)
+                    yield from kernel.write(fd, _record(seq))
+                    yield from kernel.close(fd)
                     stats["writes"] += 1
                 except FsError:
+                    # grace-window rejections and crash-window timeouts
+                    # are application-visible errors, not consistency
+                    # violations
                     stats["app_errors"] += 1
         finally:
             state["done"] = True
 
-    def reader():
+    def reader(kernel, path, state):
         # offset the poll phase so reads never race the millisecond-
         # scale windows where the writer holds the file open
-        yield sim.timeout(write_period / 2 + 0.13)
+        yield sim.timeout(WRITE_PERIOD / 2 + 0.13)
         while not state["done"]:
             try:
-                fd = yield from reader_kernel.open(path, OpenMode.READ)
-                yield from reader_kernel.read(fd, _RECORD)
-                yield from reader_kernel.close(fd)
+                fd = yield from kernel.open(path, OpenMode.READ)
+                yield from kernel.read(fd, _RECORD)
+                yield from kernel.close(fd)
                 stats["reads"] += 1
             except FsError:
                 stats["app_errors"] += 1
-            yield sim.timeout(read_period)
+            yield sim.timeout(READ_PERIOD)
 
-    bed.run_all(writer(), reader())
+    coros = []
+    for writer_kernel, reader_kernel, path in pairs:
+        bed.run(setup(writer_kernel, path))
+        state = {"done": False}
+        coros.append(writer(writer_kernel, path, state))
+        coros.append(reader(reader_kernel, path, state))
+    bed.run_all(*coros)
     return stats
+
+
+def run_seq_sharing(bed) -> Dict[str, int]:
+    """Writer commits records; reader polls until the last commit."""
+    pair = (bed.kernels[0], bed.kernels[1], "/data/shared.dat")
+    return drive_sharing_pairs(bed, [pair])
 
 
 def run_meta_churn(bed, n_rounds: int = 12, period: float = 2.5) -> Dict[str, int]:

@@ -14,6 +14,7 @@ from .collector import PHASES, ObsCollector
 from .digest import LATENCY_BREAKS, QuantileDigest
 from .report import (
     DEFAULT_THRESHOLDS,
+    OBS_INDENT,
     OBS_SCHEMA,
     diff_reports,
     merge_obs_documents,
@@ -29,6 +30,7 @@ __all__ = [
     "QuantileDigest",
     "LATENCY_BREAKS",
     "OBS_SCHEMA",
+    "OBS_INDENT",
     "obs_document",
     "merge_obs_documents",
     "validate_obs_document",

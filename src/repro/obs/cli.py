@@ -13,10 +13,9 @@ sampler would perturb the schedule and the golden digests).
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, Optional
 
+from ..document import read_json
 from .report import (
     diff_reports,
     merge_obs_documents,
@@ -26,7 +25,7 @@ from .report import (
     validate_obs_document,
 )
 
-__all__ = ["obs_from_traced_run", "write_obs_document", "run_report"]
+__all__ = ["register", "obs_from_traced_run", "run_report"]
 
 
 def obs_from_traced_run(run, scenario: str, interval: float = 5.0) -> Dict[str, Any]:
@@ -49,56 +48,39 @@ def obs_from_traced_run(run, scenario: str, interval: float = 5.0) -> Dict[str, 
     )
 
 
-def write_obs_document(doc: Dict[str, Any], path: str) -> str:
-    out_dir = os.path.dirname(path)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _load(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        return json.load(fh)
+def _invalid(doc, heading: str) -> bool:
+    """Print ``heading`` and the first problems if ``doc`` is not a
+    valid obs document."""
+    problems = validate_obs_document(doc)
+    if problems:
+        print(heading)
+        for problem in problems[:20]:
+            print("  " + problem)
+    return bool(problems)
 
 
 def run_report(args) -> int:
     """Entry point for ``python -m repro report``.
 
-    ``args.run`` may name several documents (a parallel sweep's
-    per-cell outputs); they are merged into one combined report before
-    rendering and any ``--against`` comparison."""
-    paths = args.run if isinstance(args.run, list) else [args.run]
+    ``args.run`` names one or several documents (a parallel sweep's
+    per-cell outputs); several are merged into one combined report
+    before rendering and any ``--against`` comparison."""
     docs = []
-    for path in paths:
-        doc = _load(path)
-        problems = validate_obs_document(doc)
-        if problems:
-            print("%s: INVALID repro-obs document:" % path)
-            for problem in problems[:20]:
-                print("  " + problem)
+    for path in args.run:
+        docs.append(read_json(path))
+        if _invalid(docs[-1], "%s: INVALID repro-obs document:" % path):
             return 1
-        docs.append(doc)
-    doc = merge_obs_documents(docs) if len(docs) > 1 else docs[0]
+    doc = docs[0]
     if len(docs) > 1:
-        merge_problems = validate_obs_document(doc)
-        if merge_problems:
-            print("merged document is INVALID:")
-            for problem in merge_problems[:20]:
-                print("  " + problem)
+        doc = merge_obs_documents(docs)
+        if _invalid(doc, "merged document is INVALID:"):
             return 1
         print("merged %d per-cell documents" % len(docs))
     print(render_report(doc, top=args.top))
     if args.against is None:
         return 0
-    base = _load(args.against)
-    base_problems = validate_obs_document(base)
-    if base_problems:
-        print("%s: INVALID baseline document:" % args.against)
-        for problem in base_problems[:20]:
-            print("  " + problem)
+    base = read_json(args.against)
+    if _invalid(base, "%s: INVALID baseline document:" % args.against):
         return 1
     thresholds: Optional[Dict[str, float]] = None
     if args.threshold is not None:
@@ -117,3 +99,31 @@ def run_report(args) -> int:
     for line in regressions:
         print("  " + line)
     return 1
+
+
+def register(sub) -> None:
+    p_report = sub.add_parser(
+        "report",
+        help="render a repro-obs/1 latency-attribution report; "
+        "--against diffs two runs with regression thresholds",
+    )
+    p_report.add_argument(
+        "run",
+        nargs="+",
+        help="obs document(s) (RUN.json ...); several documents are "
+        "merged into one combined report (per-cell sweep outputs)",
+    )
+    p_report.add_argument(
+        "--against",
+        metavar="BASE",
+        help="baseline obs document to diff against; non-zero exit on regression",
+    )
+    p_report.add_argument(
+        "--threshold",
+        type=float,
+        help="override every relative regression threshold (default: per-metric)",
+    )
+    p_report.add_argument(
+        "--top", type=int, default=10, help="rows in the hot-file/client tables"
+    )
+    p_report.set_defaults(func=run_report)

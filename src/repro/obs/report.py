@@ -17,11 +17,13 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..document import NUMBER, MapOf, Maybe, check
 from .collector import PHASES, ObsCollector
 from .digest import QuantileDigest
 
 __all__ = [
     "OBS_SCHEMA",
+    "OBS_INDENT",
     "obs_document",
     "merge_obs_documents",
     "validate_obs_document",
@@ -32,6 +34,10 @@ __all__ = [
 ]
 
 OBS_SCHEMA = "repro-obs/1"
+
+#: the ``indent`` obs documents are written with (the committed
+#: ``OBS_andrew-*.json`` baselines are compared byte for byte)
+OBS_INDENT = 1
 
 #: per-metric relative regression thresholds (fraction of the baseline);
 #: ``count`` is exact because same-seed runs must issue identical calls
@@ -91,12 +97,12 @@ def utilization_series_from_tracer(tracer, track: str, interval: float = 5.0):
 # -- document construction ----------------------------------------------------
 
 
-def _op_entry(op: Dict[str, Any]) -> Dict[str, Any]:
-    digest: QuantileDigest = op["digest"]
+def _op_entry(count: int, e2e_s: float, phases: Dict[str, float],
+              digest: QuantileDigest) -> Dict[str, Any]:
     return {
-        "count": op["count"],
-        "e2e_s": _r(op["e2e_s"]),
-        "phases": {p: _r(op["phases"][p]) for p in PHASES},
+        "count": count,
+        "e2e_s": _r(e2e_s),
+        "phases": {p: _r(phases[p]) for p in PHASES},
         "p50_s": _r(digest.quantile(0.50)),
         "p95_s": _r(digest.quantile(0.95)),
         "p99_s": _r(digest.quantile(0.99)),
@@ -148,24 +154,39 @@ def obs_document(
             "max": round(series.maximum(), 6),
         }
 
+    return _assemble(
+        meta or {},
+        phases_total,
+        {
+            name: _op_entry(op["count"], op["e2e_s"], op["phases"], op["digest"])
+            for name, op in sorted(collector.ops.items())
+        },
+        collector.failed, collector.waits, collector.hot_files,
+        collector.hot_clients, collector.servers, clamps, util_out, top_k,
+    )
+
+
+def _assemble(meta, phases, ops, failed, waits, hot_files, hot_clients,
+              servers, clamps, utilization, top_k: int) -> Dict[str, Any]:
+    """The document over already-aggregated tables — one run's
+    collector or several documents' sums: canonical order and rounding,
+    the top-K cuts, and the digest."""
     doc: Dict[str, Any] = {
         "schema": OBS_SCHEMA,
-        "meta": dict(sorted((meta or {}).items())),
-        "phases": {p: _r(phases_total[p]) for p in PHASES},
-        "ops": {name: _op_entry(op) for name, op in sorted(collector.ops.items())},
-        "failed_calls": dict(sorted(collector.failed.items())),
+        "meta": dict(sorted(meta.items())),
+        "phases": {p: _r(phases[p]) for p in PHASES},
+        "ops": ops,
+        "failed_calls": dict(sorted(failed.items())),
         "queueing": {
-            kind: {"waits": cell["waits"], "wait_s": _r(cell["wait_s"])}
-            for kind, cell in sorted(collector.waits.items())
+            kind: {"waits": int(cell["waits"]), "wait_s": _r(cell["wait_s"])}
+            for kind, cell in sorted(waits.items())
         },
-        "hot_files": _top_k(
-            collector.hot_files, ("bytes_read", "bytes_written"), top_k
-        ),
+        "hot_files": _top_k(hot_files, ("bytes_read", "bytes_written"), top_k),
         "hot_clients": [
             {"key": key, "requests": n}
-            for key, n in sorted(
-                collector.hot_clients.items(), key=lambda kv: (-kv[1], kv[0])
-            )[:top_k]
+            for key, n in sorted(hot_clients.items(), key=lambda kv: (-kv[1], kv[0]))[
+                :top_k
+            ]
         ],
         "servers": {
             addr: {
@@ -176,10 +197,10 @@ def obs_document(
                 "disk": _r(cell["disk"]),
                 "server_wall": _r(cell["server_wall"]),
             }
-            for addr, cell in sorted(collector.servers.items())
+            for addr, cell in sorted(servers.items())
         },
         "sampler_clamps": clamps,
-        "utilization": util_out,
+        "utilization": utilization,
     }
     doc["digest"] = _document_digest(doc)
     return doc
@@ -198,18 +219,12 @@ def _merged_op(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
     merged = QuantileDigest.from_state(entries[0]["quantiles"])
     for entry in entries[1:]:
         merged.merge(QuantileDigest.from_state(entry["quantiles"]))
-    return {
-        "count": sum(e["count"] for e in entries),
-        "e2e_s": _r(sum(e["e2e_s"] for e in entries)),
-        "phases": {
-            p: _r(sum(e["phases"].get(p, 0.0) for e in entries)) for p in PHASES
-        },
-        "p50_s": _r(merged.quantile(0.50)),
-        "p95_s": _r(merged.quantile(0.95)),
-        "p99_s": _r(merged.quantile(0.99)),
-        "digest": merged.state_digest(),
-        "quantiles": merged.state(),
-    }
+    return _op_entry(
+        sum(e["count"] for e in entries),
+        sum(e["e2e_s"] for e in entries),
+        {p: sum(e["phases"].get(p, 0.0) for e in entries) for p in PHASES},
+        merged,
+    )
 
 
 def _sum_tables(
@@ -256,16 +271,6 @@ def merge_obs_documents(
         name: _merged_op([doc["ops"][name] for doc in docs if name in doc["ops"]])
         for name in op_names
     }
-    phases_total = {
-        p: _r(sum(op["phases"][p] for op in ops.values())) for p in PHASES
-    }
-
-    queueing: Dict[str, Dict[str, Any]] = {}
-    for kind, cell in sorted(
-        _sum_tables([doc.get("queueing", {}) for doc in docs]).items()
-    ):
-        queueing[kind] = {"waits": int(cell["waits"]), "wait_s": _r(cell["wait_s"])}
-
     hot_files = _sum_tables(
         [
             {cell["key"]: {f: v for f, v in cell.items() if f != "key"}
@@ -274,25 +279,13 @@ def merge_obs_documents(
         ]
     )
     hot_clients: Dict[str, int] = {}
+    failed: Dict[str, int] = {}
+    clamps: Dict[str, float] = {}
     for doc in docs:
         for cell in doc.get("hot_clients", []):
             hot_clients[cell["key"]] = hot_clients.get(cell["key"], 0) + cell["requests"]
-
-    servers: Dict[str, Dict[str, Any]] = {}
-    for addr, cell in sorted(
-        _sum_tables([doc.get("servers") or {} for doc in docs]).items()
-    ):
-        servers[addr] = {
-            "count": int(cell["count"]),
-            "e2e_s": _r(cell["e2e_s"]),
-            "server_queue": _r(cell["server_queue"]),
-            "server_cpu": _r(cell["server_cpu"]),
-            "disk": _r(cell["disk"]),
-            "server_wall": _r(cell["server_wall"]),
-        }
-
-    clamps: Dict[str, float] = {}
-    for doc in docs:
+        for key, n in doc.get("failed_calls", {}).items():
+            failed[key] = failed.get(key, 0) + n
         for key, n in (doc.get("sampler_clamps") or {}).items():
             clamps[key] = clamps.get(key, 0) + n
 
@@ -313,80 +306,80 @@ def merge_obs_documents(
         if len(values) == 1 and docs[0].get("meta", {}).get(key) is not None:
             merged_meta[key] = docs[0]["meta"][key]
 
-    failed: Dict[str, int] = {}
-    for source in docs:
-        for key, n in source.get("failed_calls", {}).items():
-            failed[key] = failed.get(key, 0) + n
-
-    doc = {
-        "schema": OBS_SCHEMA,
-        "meta": dict(sorted(merged_meta.items())),
-        "phases": phases_total,
-        "ops": ops,
-        "failed_calls": dict(sorted(failed.items())),
-        "queueing": queueing,
-        "hot_files": _top_k(hot_files, ("bytes_read", "bytes_written"), top_k),
-        "hot_clients": [
-            {"key": key, "requests": n}
-            for key, n in sorted(hot_clients.items(), key=lambda kv: (-kv[1], kv[0]))[
-                :top_k
-            ]
-        ],
-        "servers": servers,
-        "sampler_clamps": clamps,
-        "utilization": utilization,
-    }
-    doc["digest"] = _document_digest(doc)
-    return doc
+    return _assemble(
+        merged_meta,
+        {p: sum(op["phases"][p] for op in ops.values()) for p in PHASES},
+        ops, failed,
+        _sum_tables([doc.get("queueing", {}) for doc in docs]),
+        hot_files, hot_clients,
+        _sum_tables([doc.get("servers") or {} for doc in docs]),
+        clamps, utilization, top_k,
+    )
 
 
 # -- validation ---------------------------------------------------------------
 
 
-def validate_obs_document(doc: Dict[str, Any]) -> List[str]:
+_OP_SPEC = {
+    "count": int,
+    "e2e_s": NUMBER,
+    "phases": {p: NUMBER for p in PHASES},
+    "p50_s": NUMBER,
+    "p95_s": NUMBER,
+    "p99_s": NUMBER,
+    "digest": str,
+    "quantiles": {
+        "breaks": (str, list), "cells": MapOf(int), "count": int,
+        "total_s": NUMBER, "min_s": Maybe(NUMBER), "max_s": Maybe(NUMBER),
+    },
+}
+
+_SPEC = {
+    "schema": {OBS_SCHEMA},
+    "meta": dict,
+    "phases": {p: NUMBER for p in PHASES},
+    "ops": MapOf(_OP_SPEC),
+    "queueing": MapOf({"waits": int, "wait_s": NUMBER}),
+    "digest": str,
+    # what the renderer reads of the optional sections
+    "failed_calls": Maybe(MapOf(int)),
+    "hot_files": Maybe(
+        [dict.fromkeys(("reads", "writes", "bytes_read", "bytes_written"), int)]
+    ),
+    "hot_clients": Maybe([{"requests": int}]),
+    "sampler_clamps": Maybe(MapOf(NUMBER)),
+    "utilization": Maybe(MapOf({"time_mean": NUMBER, "max": NUMBER})),
+    # optional (documents predating the sharded-namespace layer omit
+    # it), but present entries must be complete
+    "servers": Maybe(
+        MapOf(
+            {
+                "count": int, "e2e_s": NUMBER, "server_queue": NUMBER,
+                "server_cpu": NUMBER, "disk": NUMBER, "server_wall": NUMBER,
+            }
+        )
+    ),
+}
+
+
+def validate_obs_document(doc) -> List[str]:
     """Structural validation; returns a list of problems (empty = ok)."""
-    problems: List[str] = []
-    if doc.get("schema") != OBS_SCHEMA:
-        problems.append("schema is %r, expected %r" % (doc.get("schema"), OBS_SCHEMA))
-        return problems
-    for field in ("meta", "phases", "ops", "queueing", "digest"):
-        if field not in doc:
-            problems.append("missing field %r" % field)
+    problems = check(doc, _SPEC)
     if problems:
         return problems
     if doc["digest"] != _document_digest(doc):
         problems.append("document digest does not match contents")
-    for p in PHASES:
-        if p not in doc["phases"]:
-            problems.append("phases missing %r" % p)
     for name, op in doc["ops"].items():
-        for field in ("count", "e2e_s", "phases", "p50_s", "p95_s", "p99_s",
-                      "digest", "quantiles"):
-            if field not in op:
-                problems.append("op %s missing %r" % (name, field))
-                continue
-        if "phases" in op:
-            total = sum(op["phases"].get(p, 0.0) for p in PHASES)
-            e2e = op.get("e2e_s", 0.0)
-            tol = max(1e-6, abs(e2e) * 0.01)
-            if abs(total - e2e) > tol:
-                problems.append(
-                    "op %s: phase sum %.9f != e2e %.9f" % (name, total, e2e)
-                )
-        if "quantiles" in op and "digest" in op:
-            restored = QuantileDigest.from_state(op["quantiles"])
-            if restored.state_digest() != op["digest"]:
-                problems.append("op %s: quantile state does not match digest" % name)
-    for kind, cell in doc["queueing"].items():
-        if "waits" not in cell or "wait_s" not in cell:
-            problems.append("queueing %s missing waits/wait_s" % kind)
-    # "servers" is optional (documents predating the sharded-namespace
-    # layer omit it), but present entries must be complete
-    for addr, cell in (doc.get("servers") or {}).items():
-        for field in ("count", "e2e_s", "server_queue", "server_cpu",
-                      "disk", "server_wall"):
-            if field not in cell:
-                problems.append("server %s missing %r" % (addr, field))
+        total = sum(op["phases"][p] for p in PHASES)
+        e2e = op["e2e_s"]
+        if abs(total - e2e) > max(1e-6, abs(e2e) * 0.01):
+            problems.append("op %s: phase sum %.9f != e2e %.9f" % (name, total, e2e))
+        try:
+            restored = QuantileDigest.from_state(op["quantiles"]).state_digest()
+        except (TypeError, ValueError, IndexError):
+            restored = None  # not a state QuantileDigest.state() wrote
+        if restored != op["digest"]:
+            problems.append("op %s: quantile state does not match digest" % name)
     return problems
 
 

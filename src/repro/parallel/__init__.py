@@ -24,31 +24,36 @@ The contract:
   the caller exits non-zero); a **crashed** worker process breaks the
   pool, which is rebuilt and the unfinished cells retried — a cell
   that kills its worker twice becomes an ``error`` row too;
-* every row carries the cell's wall-clock seconds, and
-  :func:`pool_accounting` summarizes the aggregate speedup for the
-  ``repro-bench/1`` / ``repro-nemesis/1`` artifacts.
+* every row carries the cell's wall-clock seconds; :func:`sweep` is
+  :func:`run_cells` under a stopwatch and returns the rows with the
+  :func:`pool_accounting` block (aggregate speedup) that the
+  ``repro-bench/1`` / ``repro-nemesis/1`` artifacts embed.
 """
 
 from .cells import (
     CELL_KINDS,
     CellSpec,
-    register_cell_kind,
     run_cell_spec,
 )
 from .pool import (
     default_jobs,
     make_progress_printer,
     pool_accounting,
+    resolve_jobs,
     run_cells,
+    sweep,
+    sweep_summary,
 )
 
 __all__ = [
     "CELL_KINDS",
     "CellSpec",
-    "register_cell_kind",
     "run_cell_spec",
     "default_jobs",
     "make_progress_printer",
     "pool_accounting",
+    "resolve_jobs",
     "run_cells",
+    "sweep",
+    "sweep_summary",
 ]

@@ -19,7 +19,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["CellSpec", "CELL_KINDS", "register_cell_kind", "run_cell_spec"]
+__all__ = ["CellSpec", "CELL_KINDS", "run_cell_spec"]
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,16 @@ class CellSpec:
     seed: int = 0
 
 
-#: kind -> fn(spec) -> (result, digest)
-CELL_KINDS: Dict[str, Callable[[CellSpec], Tuple[Any, Optional[Any]]]] = {}
-
-
-def register_cell_kind(
-    kind: str,
-) -> Callable[[Callable[[CellSpec], Tuple[Any, Optional[Any]]]], Callable]:
-    def install(fn):
-        CELL_KINDS[kind] = fn
-        return fn
-
-    return install
+def blank_row(spec: CellSpec, error: Optional[str] = None) -> Dict[str, Any]:
+    """The row of a cell that produced nothing (yet)."""
+    return {
+        "kind": spec.kind,
+        "name": spec.name,
+        "result": None,
+        "digest": None,
+        "wall_seconds": 0.0,
+        "error": error,
+    }
 
 
 def run_cell_spec(spec: CellSpec) -> Dict[str, Any]:
@@ -53,14 +51,7 @@ def run_cell_spec(spec: CellSpec) -> Dict[str, Any]:
     ``-j1`` path calls directly, so serial and parallel runs execute
     byte-identical per-cell code.
     """
-    row: Dict[str, Any] = {
-        "kind": spec.kind,
-        "name": spec.name,
-        "result": None,
-        "digest": None,
-        "wall_seconds": 0.0,
-        "error": None,
-    }
+    row = blank_row(spec)
     t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock cell accounting, not sim logic
     try:
         fn = CELL_KINDS.get(spec.kind)
@@ -81,45 +72,26 @@ def run_cell_spec(spec: CellSpec) -> Dict[str, Any]:
 # -- built-in kinds -----------------------------------------------------------
 
 
-@register_cell_kind("bench-engine")
 def _bench_engine(spec: CellSpec):
     from ..bench.engine_bench import run_engine_cell
 
-    scenario = run_engine_cell(
-        spec.name,
-        quick=spec.params.get("quick", False),
-        repeats=spec.params.get("repeats", 3),
-    )
+    scenario = run_engine_cell(spec.name, **spec.params)
     return scenario, scenario.get("trace_digest")
 
 
-@register_cell_kind("bench-workload")
 def _bench_workload(spec: CellSpec):
     from ..bench.workloads import run_workload_cell
 
-    scenario = run_workload_cell(
-        spec.name,
-        quick=spec.params.get("quick", False),
-        digests=spec.params.get("digests", True),
-        extra_ns=tuple(spec.params.get("extra_ns", ())),
-    )
+    scenario = run_workload_cell(spec.name, **spec.params)
     return scenario, scenario.get("trace_digest")
 
 
-@register_cell_kind("nemesis-cell")
 def _nemesis_cell(spec: CellSpec):
     from ..nemesis.matrix import run_cell
 
-    cell = run_cell(
-        spec.params["protocol"],
-        spec.params["workload"],
-        spec.params["plan"],
-        spec.seed,
-    )
-    return cell.as_dict(), None
+    return run_cell(seed=spec.seed, **spec.params).as_dict(), None
 
 
-@register_cell_kind("golden-output")
 def _golden_output(spec: CellSpec):
     from ..bench.golden import compute_output_digests
 
@@ -127,7 +99,6 @@ def _golden_output(spec: CellSpec):
     return digest, digest
 
 
-@register_cell_kind("golden-traced")
 def _golden_traced(spec: CellSpec):
     from ..bench.golden import compute_trace_digests
 
@@ -135,7 +106,6 @@ def _golden_traced(spec: CellSpec):
     return digests, digests[0] if digests else None
 
 
-@register_cell_kind("obs-baseline")
 def _obs_baseline(spec: CellSpec):
     from ..experiments.traced import run_traced_andrew
     from ..obs.cli import obs_from_traced_run
@@ -147,21 +117,30 @@ def _obs_baseline(spec: CellSpec):
     return doc, doc["digest"]
 
 
-# -- test-only kinds (exercised by tests/parallel/) ---------------------------
-
-
-@register_cell_kind("_test-echo")
 def _test_echo(spec: CellSpec):
     return dict(spec.params), spec.params.get("digest")
 
 
-@register_cell_kind("_test-raise")
 def _test_raise(spec: CellSpec):
     raise ValueError(spec.params.get("message", "deliberate cell failure"))
 
 
-@register_cell_kind("_test-crash")
 def _test_crash(spec: CellSpec):
     import os
 
     os._exit(int(spec.params.get("code", 3)))
+
+
+#: kind -> fn(spec) -> (result, digest); the ``_test-`` kinds are
+#: exercised by tests/parallel/ only
+CELL_KINDS: Dict[str, Callable[[CellSpec], Tuple[Any, Optional[Any]]]] = {
+    "bench-engine": _bench_engine,
+    "bench-workload": _bench_workload,
+    "nemesis-cell": _nemesis_cell,
+    "golden-output": _golden_output,
+    "golden-traced": _golden_traced,
+    "obs-baseline": _obs_baseline,
+    "_test-echo": _test_echo,
+    "_test-raise": _test_raise,
+    "_test-crash": _test_crash,
+}

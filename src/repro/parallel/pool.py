@@ -7,11 +7,19 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cells import CellSpec, run_cell_spec
+from .cells import CellSpec, blank_row, run_cell_spec
 
-__all__ = ["default_jobs", "run_cells", "pool_accounting", "make_progress_printer"]
+__all__ = [
+    "default_jobs",
+    "resolve_jobs",
+    "run_cells",
+    "sweep",
+    "pool_accounting",
+    "sweep_summary",
+    "make_progress_printer",
+]
 
 #: rounds a cell may be caught in a broken pool (its own crash or a
 #: neighbor's) before it is written off as an error row
@@ -28,15 +36,13 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """A ``--jobs`` value as a worker count: ``None`` is the default."""
+    return default_jobs() if jobs is None else max(1, jobs)
+
+
 def _crash_row(spec: CellSpec, detail: str) -> Dict[str, Any]:
-    return {
-        "kind": spec.kind,
-        "name": spec.name,
-        "result": None,
-        "digest": None,
-        "wall_seconds": 0.0,
-        "error": "worker process crashed (%s)" % detail,
-    }
+    return blank_row(spec, "worker process crashed (%s)" % detail)
 
 
 def run_cells(
@@ -56,8 +62,7 @@ def run_cells(
     poisonous cell cannot take the sweep down with it.
     """
     specs = list(specs)
-    if jobs is None:
-        jobs = default_jobs()
+    jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(specs) <= 1:
         rows = []
         for i, spec in enumerate(specs):
@@ -141,6 +146,35 @@ def pool_accounting(
         "serial_cell_seconds": round(serial, 6),
         "speedup": round(serial / total_wall_seconds, 3) if total_wall_seconds > 0 else 0.0,
     }
+
+
+def sweep(
+    specs: Sequence[CellSpec],
+    jobs: Optional[int] = None,
+    progress: Optional[Progress] = None,
+) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+    """:func:`run_cells` under a stopwatch: ``(rows, accounting)``.
+
+    Every command that fans out (bench, golden, nemesis) runs its cells
+    through here, so a sweep is timed and accounted one way."""
+    jobs = resolve_jobs(jobs)
+    t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
+    rows = run_cells(specs, jobs=jobs, progress=progress)
+    total = time.perf_counter() - t0  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic
+    return rows, pool_accounting(rows, total, jobs)
+
+
+def sweep_summary(accounting: Dict[str, Any]) -> str:
+    """The one-line rendering of a :func:`pool_accounting` block."""
+    return (
+        "%d cells on %d worker(s): %.3fs wall, %.3fs serial-equivalent "
+        "(speedup %.2fx)"
+        % (
+            len(accounting["cells"]), accounting["jobs"],
+            accounting["total_wall_seconds"],
+            accounting["serial_cell_seconds"], accounting["speedup"],
+        )
+    )
 
 
 def make_progress_printer(label: str, stream=None) -> Progress:

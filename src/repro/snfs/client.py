@@ -414,17 +414,6 @@ class SnfsClient(RemoteFsClient):
     PROC = SPROC
     policy_class = SnfsPolicy
 
-    # compatibility delegations for callers that predate the policy split
-
-    def serve_callback(self, fh: FileHandle, writeback: bool, invalidate: bool):
-        result = yield from self.policy.serve_callback(fh, writeback, invalidate)
-        return result
-
-    def purge_dir_names(self, dirfh: FileHandle) -> None:
-        self.dnlc.purge_dir(dirfh.key())
-
-    def open_state_report(self):
-        return self.policy.open_state_report()
 
 
 def mount_snfs(

@@ -15,7 +15,6 @@ from .export import (
     trace_digest,
     validate_chrome_trace,
     write_chrome_trace,
-    write_run_report,
 )
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "collapsed_stacks",
     "flamegraph_report",
     "run_report",
-    "write_run_report",
     "trace_digest",
 ]

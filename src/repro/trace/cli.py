@@ -16,44 +16,40 @@ experiment builds records a trace, then exports them all.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Callable, Dict, List, Optional
 
+from ..document import write_json
 from .export import (
-    chrome_trace_json,
+    chrome_trace,
     flamegraph_report,
     run_report,
     validate_chrome_trace,
-    write_run_report,
+    write_chrome_trace,
 )
 from .tracer import Tracer
 
-__all__ = ["export_tracer", "trace_experiment", "run_trace"]
+__all__ = ["register", "export_tracer", "trace_experiment", "run_trace"]
 
 
 def export_tracer(
     tracer: Tracer,
     out_dir: str,
     stem: str,
-    metrics=None,
     meta: Optional[Dict] = None,
 ) -> Dict[str, object]:
     """Write the three artifacts for one tracer; returns their paths
     plus any Chrome-trace schema problems (should be none)."""
     os.makedirs(out_dir, exist_ok=True)
-    text = chrome_trace_json(tracer)
-    trace_path = os.path.join(out_dir, "trace-%s.json" % stem)
-    with open(trace_path, "w") as fh:
-        fh.write(text)
-    problems = validate_chrome_trace(json.loads(text))
+    trace_path = write_chrome_trace(
+        tracer, os.path.join(out_dir, "trace-%s.json" % stem)
+    )
+    problems = validate_chrome_trace(chrome_trace(tracer))
     flame_path = os.path.join(out_dir, "flame-%s.txt" % stem)
     with open(flame_path, "w") as fh:
         fh.write(flamegraph_report(tracer))
-    if metrics is None:
-        metrics = tracer.sim.metrics
     report_path = os.path.join(out_dir, "report-%s.json" % stem)
-    write_run_report(run_report(tracer, metrics=metrics, meta=meta), report_path)
+    write_json(run_report(tracer, metrics=tracer.sim.metrics, meta=meta), report_path)
     return {
         "trace": trace_path,
         "flame": flame_path,
@@ -68,18 +64,9 @@ def trace_experiment(run_fn: Callable[[], object], out_dir: str, prefix: str = "
 
     Returns ``(result, export_dicts)``.
     """
-    Tracer.drain_instances()
-    had = os.environ.get("REPRO_TRACE")
-    os.environ["REPRO_TRACE"] = "1"
-    try:
-        result = run_fn()
-    finally:
-        if had is None:
-            os.environ.pop("REPRO_TRACE", None)
-        else:
-            os.environ["REPRO_TRACE"] = had
+    result, tracers = Tracer.capture(run_fn)
     exports = []
-    for i, tracer in enumerate(Tracer.drain_instances()):
+    for i, tracer in enumerate(tracers):
         exports.append(export_tracer(tracer, out_dir, "%s%02d" % (prefix, i)))
     return result, exports
 
@@ -126,18 +113,19 @@ def run_trace(args) -> int:
             run.tracer,
             args.out,
             stem,
-            metrics=run.metrics,
             meta={"workload": "andrew", "protocol": protocol, "seed": args.seed},
         )
         print("[%s] trace:  %s" % (protocol, out["trace"]))
         print("[%s] flame:  %s" % (protocol, out["flame"]))
         print("[%s] report: %s" % (protocol, out["report"]))
         if run.sim.obs is not None:
-            from ..obs.cli import obs_from_traced_run, write_obs_document
+            from ..obs import OBS_INDENT
+            from ..obs.cli import obs_from_traced_run
 
-            obs_path = write_obs_document(
+            obs_path = write_json(
                 obs_from_traced_run(run, scenario="andrew-2client"),
                 os.path.join(args.out, "obs-%s.json" % stem),
+                indent=OBS_INDENT,
             )
             print("[%s] obs:    %s" % (protocol, obs_path))
         if out["problems"]:
@@ -147,3 +135,24 @@ def run_trace(args) -> int:
         if protocol == "snfs":
             print("[snfs] %s" % _causal_chain_summary(run.tracer))
     return status
+
+
+def register(sub) -> None:
+    p_tr = sub.add_parser(
+        "trace", help="run a workload traced; export Chrome trace/flamegraph/report"
+    )
+    p_tr.add_argument("workload", help="workload to trace (andrew)")
+    p_tr.add_argument(
+        "--protocol",
+        choices=["nfs", "snfs", "both"],
+        default="both",
+        help="protocol(s) to run (default: both)",
+    )
+    p_tr.add_argument("--seed", type=int, default=1989, help="run seed")
+    p_tr.add_argument(
+        "--drop-rate", type=float, default=0.0, help="network packet loss rate"
+    )
+    p_tr.add_argument(
+        "--out", metavar="DIR", default="traces", help="output directory"
+    )
+    p_tr.set_defaults(func=run_trace)

@@ -36,7 +36,6 @@ __all__ = [
     "collapsed_stacks",
     "flamegraph_report",
     "run_report",
-    "write_run_report",
     "trace_digest",
 ]
 
@@ -261,10 +260,3 @@ def run_report(
     if meta:
         report["meta"] = meta
     return report
-
-
-def write_run_report(report: Dict[str, Any], path: str) -> str:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2))
-        fh.write("\n")
-    return path

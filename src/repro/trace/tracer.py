@@ -31,7 +31,8 @@ Design constraints:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+import os
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = ["Tracer", "Span", "TraceEvent"]
 
@@ -119,6 +120,23 @@ class Tracer:
         """Return and forget all tracers created so far."""
         out, cls.instances = cls.instances, []
         return out
+
+    @classmethod
+    def capture(cls, run_fn: Callable[[], Any]) -> Tuple[Any, List["Tracer"]]:
+        """Call ``run_fn`` with ``REPRO_TRACE`` armed, so that every
+        simulator it builds records a trace; returns its result and
+        those tracers (one experiment may build several testbeds)."""
+        cls.drain_instances()
+        had = os.environ.get("REPRO_TRACE")
+        os.environ["REPRO_TRACE"] = "1"
+        try:
+            result = run_fn()
+        finally:
+            if had is None:
+                os.environ.pop("REPRO_TRACE", None)
+            else:
+                os.environ["REPRO_TRACE"] = had
+        return result, cls.drain_instances()
 
     # -- context plumbing ---------------------------------------------------
 

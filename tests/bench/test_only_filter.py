@@ -23,7 +23,8 @@ def test_workloads_only_no_match_runs_nothing():
     # plus an impossible pattern proves nothing executed
     ran = []
     results = run_workload_suite(
-        quick=True, progress=ran.append, only="no-such-scenario"
+        quick=True, pool_progress=lambda *row: ran.append(row),
+        only="no-such-scenario",
     )
     assert results == []
     assert ran == []

@@ -12,7 +12,7 @@ from repro.bench import (
     compare_to_baseline,
     validate_bench_document,
 )
-from repro.bench.schema import write_bench_document
+from repro.document import write_json
 
 
 def _scenario(name="s", rate=1000, digest=None):
@@ -157,8 +157,8 @@ def test_compare_reports_new_and_missing_scenarios_non_fatally():
 def test_write_bench_document_is_deterministic(tmp_path):
     doc = bench_document("engine", [_scenario()], quick=True)
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    write_bench_document(doc, p1)
-    write_bench_document(doc, p2)
+    write_json(doc, p1)
+    write_json(doc, p2)
     b1, b2 = open(p1).read(), open(p2).read()
     assert b1 == b2
     assert b1.endswith("\n")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.metrics import Counter, Counters, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 def test_counter_labels_and_totals():
@@ -64,26 +64,6 @@ def test_registry_kind_mismatch_raises():
         reg.gauge("x")
     with pytest.raises(TypeError):
         reg.histogram("x")
-
-
-def test_absorb_counters_bridges_legacy_objects():
-    reg = MetricsRegistry()
-    legacy = Counters()
-    legacy.record("nfs.read", n=10)
-    legacy.record("nfs.write", n=3)
-    inst = reg.absorb_counters("rpc.calls", legacy, endpoint="m1")
-    assert inst.get(op="nfs.read", endpoint="m1") == 10
-    assert inst.get(op="nfs.write", endpoint="m1") == 3
-
-
-def test_absorb_series_bridges_timeseries():
-    reg = MetricsRegistry()
-    series = TimeSeries("util")
-    for t, v in ((5.0, 0.15), (10.0, 0.85), (15.0, 0.85)):
-        series.append(t, v)
-    inst = reg.absorb_series("server.cpu", series, host="server")
-    assert inst.count(host="server") == 3
-    assert inst.mean(host="server") == pytest.approx((0.15 + 0.85 + 0.85) / 3)
 
 
 def test_as_dict_is_sorted_and_json_stable():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.document import write_json
 from repro.sim import Simulator
 from repro.trace import (
     Tracer,
@@ -15,7 +16,6 @@ from repro.trace import (
     trace_digest,
     validate_chrome_trace,
     write_chrome_trace,
-    write_run_report,
 )
 
 
@@ -159,7 +159,7 @@ def test_run_report_contents(runner):
 
 def test_write_run_report_is_json(runner, tmp_path):
     tracer = _sample_tracer(runner)
-    path = write_run_report(run_report(tracer), str(tmp_path / "r.json"))
+    path = write_json(run_report(tracer), str(tmp_path / "r.json"))
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["n_spans"] == 2
