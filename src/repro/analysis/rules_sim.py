@@ -22,11 +22,13 @@ __all__ = ["SIM_RULES"]
 class YieldLiteralRule(Rule):
     """SIM001: ``yield <literal>`` in a process coroutine.
 
-    The engine waits on Events/Timeouts/Processes; a yielded literal is
-    not waitable, so the engine raises (or, worse, a wrapper treats the
-    generator as a value stream and the process never advances).  A
-    bare ``yield`` is allowed — it is the established idiom for making
-    a non-blocking handler a coroutine (``return x; yield``).
+    The engine waits on Events/Timeouts/Processes and on a ``float``
+    number of seconds; any other yielded literal — an ``int`` such as
+    ``yield 5`` included — is not waitable, so the engine raises (or,
+    worse, a wrapper treats the generator as a value stream and the
+    process never advances).  A bare ``yield`` is allowed — it is the
+    established idiom for making a non-blocking handler a coroutine
+    (``return x; yield``).
     """
 
     id = "SIM001"
@@ -40,11 +42,14 @@ class YieldLiteralRule(Rule):
                     continue
                 if module.enclosing_function(node) is not fn:
                     continue
-                if isinstance(node.value, ast.Constant):
+                if (
+                    isinstance(node.value, ast.Constant)
+                    and type(node.value.value) is not float
+                ):
                     yield node, (
                         "yield of a literal %r: the engine can only wait "
-                        "on Event/Timeout/Process waitables"
-                        % (node.value.value,)
+                        "on Event/Timeout/Process waitables or a float "
+                        "number of seconds" % (node.value.value,)
                     )
 
 
@@ -105,7 +110,7 @@ class RealBlockingIoRule(Rule):
     """SIM003: real blocking I/O inside a simulated process.
 
     ``time.sleep`` stalls the whole interpreter (simulated time does
-    not advance — use ``yield sim.timeout(...)``); sockets, subprocess
+    not advance — use ``yield <float seconds>``); sockets, subprocess
     and terminal input make the run depend on the outside world.
     """
 
@@ -142,7 +147,8 @@ class RealBlockingIoRule(Rule):
                     continue
                 yield node, (
                     "%s() performs real blocking I/O inside a simulated "
-                    "process; simulated delays are 'yield sim.timeout(...)' "
+                    "process; a simulated delay is 'yield <float seconds>' "
+                    "(or 'yield sim.timeout(...)' for a timer that is kept) "
                     "and data comes from simulated devices" % what
                 )
 

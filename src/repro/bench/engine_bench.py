@@ -17,6 +17,15 @@ Scenarios:
 ``timeout-chain``
     One process yields N sequential timeouts — the minimal schedule/
     fire/resume cycle that every simulated I/O pays.
+``sleep-chain``
+    The same chain written ``yield 0.001``: the number-of-seconds wait
+    that ``Cpu.consume``, ``Disk._do_io`` and ``Interface.send`` use.
+    Its observed schedule equals ``timeout-chain``'s element for element
+    (the digests differ only by the scenario-name salt).
+``hold-chain``
+    One process repeats acquire → sleep → release on a capacity-1
+    ``Resource`` — the ``Cpu.consume`` shape: the pre-granted acquire's
+    resume plus the sleep's two entries per round.
 ``timer-fan``
     P processes interleave timeouts with co-prime periods — deep heap,
     constant churn, the cluster-sweep access pattern.
@@ -39,7 +48,7 @@ import statistics
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim import Simulator, Store
+from ..sim import Resource, Simulator, Store
 from .suite import run_suite
 
 __all__ = ["ENGINE_SCENARIOS", "run_engine_cell", "run_engine_suite"]
@@ -63,6 +72,36 @@ def _timeout_chain(sim: Simulator, n: int, schedule: Optional[list]) -> int:
     sim.spawn(proc(), name="chain")
     sim.run()
     return 2 * n  # one schedule + one fire/resume per round
+
+
+def _sleep_chain(sim: Simulator, n: int, schedule: Optional[list]) -> int:
+    def proc():
+        for i in range(n):
+            yield 0.001
+            if schedule is not None:
+                schedule.append((i, sim.now))
+
+    sim.spawn(proc(), name="chain")
+    sim.run()
+    return 2 * n  # the same two entries per round as timeout-chain
+
+
+def _hold_chain(sim: Simulator, n: int, schedule: Optional[list]) -> int:
+    unit = Resource(sim, capacity=1, name="unit")
+
+    def proc():
+        for i in range(n):
+            yield unit.acquire()
+            try:
+                yield 0.001
+            finally:
+                unit.release()
+            if schedule is not None:
+                schedule.append((i, sim.now))
+
+    sim.spawn(proc(), name="holder")
+    sim.run()
+    return 3 * n  # resume on the granted acquire + the sleep's two entries
 
 
 def _timer_fan(sim: Simulator, n: int, schedule: Optional[list]) -> int:
@@ -145,6 +184,8 @@ def _spawn_join(sim: Simulator, n: int, schedule: Optional[list]) -> int:
 #: name -> (body, full_n, quick_n, digest_n)
 ENGINE_SCENARIOS: Dict[str, Tuple[Callable, int, int, int]] = {
     "timeout-chain": (_timeout_chain, 200_000, 20_000, 2_000),
+    "sleep-chain": (_sleep_chain, 200_000, 20_000, 2_000),
+    "hold-chain": (_hold_chain, 130_000, 13_000, 2_000),
     "timer-fan": (_timer_fan, 160_000, 16_000, 2_000),
     "event-pingpong": (_event_pingpong, 100_000, 10_000, 2_000),
     "anyof-race": (_anyof_race, 60_000, 6_000, 2_000),

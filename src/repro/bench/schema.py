@@ -10,7 +10,8 @@ The shape is :data:`_SPEC` below, field by field.
 
 :func:`compare_to_baseline` implements the CI regression gate: each
 scenario present in both documents must be no slower than
-``(1 - tolerance) *`` the baseline's events/sec.  Engine scenarios
+``(1 - tolerance) *`` the baseline's events/sec, and must carry the
+baseline's ``trace_digest`` when both sides have one.  Engine scenarios
 derive ``wall_seconds`` / ``events_per_sec`` from the **median** of
 their timing repeats (the raw repeats ride along in
 ``wall_seconds_repeats``), so one noisy CI repeat cannot fail the
@@ -121,11 +122,16 @@ def validate_bench_document(doc) -> List[str]:
 def compare_to_baseline(
     fresh: Dict, baseline: Dict, tolerance: float = 0.20
 ) -> Tuple[bool, List[str]]:
-    """Regression gate: fresh events/sec vs the committed baseline.
+    """Regression gate: fresh events/sec and schedule digests vs the
+    committed baseline.
 
     Both sides' ``events_per_sec`` are median-of-repeats figures (see
     :func:`repro.bench.engine_bench.run_engine_cell`), so a single
-    noisy repeat on either side cannot decide the verdict.
+    noisy repeat on either side cannot decide the verdict.  A
+    ``trace_digest`` is taken on a fixed small variant whatever the run
+    size, so a ``--quick`` run is held to a full-size baseline's: a
+    mismatch means same-instant entries ran in another order, and fails
+    the gate with its own line.
 
     Returns ``(ok, report_lines)``.  Scenarios only present on one side
     are reported but do not fail the gate (suites may grow).
@@ -139,6 +145,13 @@ def compare_to_baseline(
         if ref is None:
             lines.append("%-20s new scenario (no baseline)" % name)
             continue
+        digest, ref_digest = scenario.get("trace_digest"), ref.get("trace_digest")
+        if digest is not None and ref_digest is not None and digest != ref_digest:
+            ok = False
+            lines.append(
+                "%-20s trace_digest %s differs from baseline %s SCHEDULE CHANGED"
+                % (name, digest[:12], ref_digest[:12])
+            )
         rate, ref_rate = scenario["events_per_sec"], ref["events_per_sec"]
         if ref_rate <= 0:
             lines.append("%-20s baseline rate is 0; skipped" % name)

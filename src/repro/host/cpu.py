@@ -39,7 +39,7 @@ class Cpu:
                 "cpu.busy", cat="cpu", track=self.name, seconds=seconds
             )
         try:
-            yield self.sim.timeout(seconds / self.speed)
+            yield seconds / self.speed
             if self.sim.obs is not None:
                 self.sim.obs.add("cpu.service", seconds / self.speed)
         finally:

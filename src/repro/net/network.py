@@ -100,7 +100,7 @@ class Interface:
             raise NetworkError("negative packet size")
         yield self._nic.acquire()
         try:
-            yield self.sim.timeout(size / self.network.config.bandwidth)
+            yield size / self.network.config.bandwidth
         finally:
             self._nic.release()
         self.network._transmit(Packet(self.address, dst, port, payload, size))

@@ -8,7 +8,8 @@ The design follows the classic process-interaction style (as in SimPy,
 which is not available offline, so we implement our own): processes are
 Python generators that ``yield`` *waitables* — :class:`Event`,
 :class:`Timeout`, other processes, or condition combinators — and are
-resumed when the waitable triggers.
+resumed when the waitable triggers, or ``yield`` a ``float`` number of
+seconds and are resumed that much later.
 
 Determinism: given the same seed and the same sequence of spawns, a
 simulation is fully deterministic.  Events scheduled for the same
@@ -32,6 +33,19 @@ Scheduling internals (see docs/PERFORMANCE.md for the full story):
   amount, so no two entries change their relative order.  A *failed*
   waiterless event still goes through ``_dispatch`` — that is where an
   unhandled failure is raised out of the run.
+* A process that yields seconds pushes its own heap entry
+  (``Process._wake``), and that entry queues the resume: the two entries
+  a ``Timeout`` with one waiter costs, with their sequence numbers drawn
+  at the same two moments (when the wait begins, when the timer fires),
+  and no ``Timeout``.  Interrupting the sleeper points the entry at a
+  no-op rather than blanking it: a cancelled entry is discarded without
+  advancing ``now``, a lapsed one must still advance it, as the
+  waiterless ``Timeout`` would.
+* An uncontended ``Resource.acquire`` returns the resource's one
+  pre-granted event; the process that yields it gets the same single
+  resume entry any already-triggered event gives.
+* Processes subscribe ``Process._resume`` itself to what they wait on;
+  there is no trampoline between a trigger and the generator.
 """
 
 from __future__ import annotations
@@ -426,9 +440,9 @@ class Simulator:
             self.sanitizer.on_trigger(event, len(callbacks))
         if event._exception is None:
             if not callbacks:
-                # nobody is waiting and nothing failed (an uncontended
-                # Resource.acquire, a process nobody joins): an entry
-                # would run no code at all, so none is scheduled
+                # nobody is waiting and nothing failed (a process nobody
+                # joins, a Store.get with an item ready): an entry would
+                # run no code at all, so none is scheduled
                 return
             if len(callbacks) == 1:
                 # dominant case: one waiter, successful trigger — dispatch

@@ -2,9 +2,16 @@
 
 A :class:`Process` wraps a Python generator.  Each ``yield`` from the
 generator must produce a *waitable*: an :class:`~repro.sim.engine.Event`
-(which includes timeouts, conditions, and other processes).  The process
-is resumed with the event's value, or has the event's exception thrown
-into it.
+(which includes timeouts, conditions, and other processes) or a
+non-negative ``float`` of seconds to sleep.  The process is resumed with
+the event's value (``None`` after a sleep), or has the event's exception
+thrown into it.
+
+``yield d`` schedules exactly what ``yield sim.timeout(d)`` does — one
+heap entry, then one ready entry, drawing the same two sequence numbers
+at the same two moments — without allocating a ``Timeout``.  Use
+``sim.timeout()`` when the timer is stored, raced in ``any_of``, or
+cancelled.
 
 A process is itself an event, so processes can be joined::
 
@@ -21,11 +28,18 @@ current wait point.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from heapq import heappush
+from typing import Any, Generator, Optional, Union
 
 from .engine import Event, Interrupt, SimulationError, Simulator, _UNSET
 
 __all__ = ["Process"]
+
+
+def _lapsed() -> None:
+    """What an interrupted sleeper's heap entry runs.  Not ``None``: the
+    run loop discards a cancelled entry without advancing ``now``, while
+    a ``Timeout`` that lost its waiter still fires and advances it."""
 
 
 class Process(Event):
@@ -38,7 +52,7 @@ class Process(Event):
     """
 
     __slots__ = (
-        "_gen", "_waiting_on", "_interrupt_pending", "trace_ctx", "obs_frames",
+        "_gen", "_waiting_on", "trace_ctx", "obs_frames",
     )
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
@@ -48,8 +62,10 @@ class Process(Event):
             )
         Event.__init__(self, sim, name or getattr(generator, "__name__", "process"))
         self._gen = generator
-        self._waiting_on: Optional[Event] = None
-        self._interrupt_pending = False
+        #: what the process is waiting on, from the yield until _resume
+        #: runs: an Event (callbacks None: it has triggered and the
+        #: resume is queued) or the heap entry of a sleep
+        self._waiting_on: Union[Event, list, None] = None
         #: (trace id, span id) causal context — inherited from the
         #: spawning process so forked work stays inside its trace tree
         parent = sim.current_process
@@ -79,26 +95,38 @@ class Process(Event):
         """
         if self.triggered:
             raise SimulationError("cannot interrupt finished process %s" % self.name)
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._on_event)
-            except ValueError:
-                pass
-        self._waiting_on = None
+        self._detach()
         self.sim.call_soon(self._throw_in, Interrupt(cause))
 
     # -- internals ------------------------------------------------------------
 
-    def _on_event(self, event: Event) -> None:
+    def _detach(self) -> None:
+        """Unsubscribe from the current wait so that it cannot wake a
+        later one.  A wakeup already in the ready queue still runs."""
+        target = self._waiting_on
+        if target is None:
+            return
         self._waiting_on = None
-        self._resume(event)
+        if type(target) is list:
+            target[2] = _lapsed
+        elif target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+
+    def _wake(self) -> None:
+        """The heap entry of a sleep: queue the resume, as a ``Timeout``
+        with this process as its one waiter would."""
+        sim = self.sim
+        sim._ready.append((next(sim._counter), self._resume, (None,)))
 
     def _resume(self, event: Optional[Event]) -> None:
         # hot path: attribute checks instead of the triggered/ok/value
         # properties; the semantics are identical
         if self._value is not _UNSET or self._exception is not None:
             return
+        self._waiting_on = None
         sim = self.sim
         prev = sim.current_process
         sim.current_process = self
@@ -107,8 +135,8 @@ class Process(Event):
             tracer.instant("proc.resume", cat="sim", track="sim")
         try:
             try:
-                if event is None:
-                    target = next(self._gen)
+                if event is None:  # first slice, or the end of a sleep
+                    target = self._gen.send(None)
                 elif event._exception is None:
                     target = self._gen.send(event._value)
                 else:
@@ -122,21 +150,35 @@ class Process(Event):
                 return
         finally:
             sim.current_process = prev
-        # inlined _wait_for for the common wait-on-pending-event case
-        # (callbacks is None exactly when the target already triggered)
-        if isinstance(target, Event):
+        # inlined _wait_for for the two common waits: a sleep, and an
+        # event (callbacks is None exactly when it already triggered)
+        if type(target) is float and target >= 0.0:
+            entry = [sim.now + target, next(sim._counter), self._wake, ()]
+            self._waiting_on = entry
+            heappush(sim._queue, entry)
+        elif isinstance(target, Event):
+            self._waiting_on = target
             callbacks = target.callbacks
             if callbacks is not None:
-                self._waiting_on = target
-                callbacks.append(self._on_event)
+                callbacks.append(self._resume)
             else:
-                sim.call_soon(self._resume, target)
+                sim._ready.append((next(sim._counter), self._resume, (target,)))
         else:
             self._wait_for(target)
 
     def _throw_in(self, exc: BaseException) -> None:
         if self._value is not _UNSET or self._exception is not None:
             return
+        # the process may have entered a wait since interrupt() detached
+        # it (it had not started, or a second interrupt was queued)
+        waiting = self._waiting_on
+        if isinstance(waiting, Event) and waiting.callbacks is None:
+            # that wait is over and its resume is queued behind this
+            # throw: deliver it first, as interrupt() on a process in
+            # that state does, and throw at the wait after it
+            self.sim.call_soon(self._throw_in, exc)
+            return
+        self._detach()
         prev = self.sim.current_process
         self.sim.current_process = self
         try:
@@ -153,18 +195,28 @@ class Process(Event):
         self._wait_for(target)
 
     def _wait_for(self, target: Any) -> None:
-        if not isinstance(target, Event):
+        sim = self.sim
+        if type(target) is float:
+            if target >= 0.0:
+                entry = [sim.now + target, next(sim._counter), self._wake, ()]
+                self._waiting_on = entry
+                heappush(sim._queue, entry)
+            else:  # negative or NaN: raise where sim.timeout() would
+                self._throw_in(
+                    SimulationError("negative timeout delay %r" % target)
+                )
+        elif not isinstance(target, Event):
             self._finish_fail(
                 SimulationError(
                     "process %s yielded a non-waitable: %r" % (self.name, target)
                 )
             )
-            return
-        if target.callbacks is None:  # already triggered
-            self.sim.call_soon(self._resume, target)
         else:
             self._waiting_on = target
-            target.callbacks.append(self._on_event)
+            if target.callbacks is None:  # already triggered
+                sim.call_soon(self._resume, target)
+            else:
+                target.callbacks.append(self._resume)
 
     def _finish_ok(self, value: Any) -> None:
         self._gen.close()

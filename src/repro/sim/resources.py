@@ -29,7 +29,10 @@ class Resource:
     """A counted resource with FIFO granting.
 
     ``acquire()`` returns an event that succeeds when a unit is granted;
-    the holder must call ``release()`` exactly once per grant.  Accrued
+    the holder must call ``release()`` exactly once per grant.  When a
+    unit is free the grant happens inside ``acquire()`` and every such
+    call returns the same already-succeeded event (its value is the
+    resource), so ``yield res.acquire()`` allocates nothing.  Accrued
     busy time is tracked so utilization can be computed: the resource is
     "busy" whenever at least one unit is held.
     """
@@ -51,6 +54,9 @@ class Resource:
         # busy-time accounting (any unit held)
         self._busy_since: Optional[float] = None
         self._busy_accum = 0.0
+        #: what every uncontended acquire() returns; triggered events
+        #: keep no waiter list, so sharing it leaks nothing
+        self._granted = Event(sim, self._ev_name).succeed(self)
 
     @property
     def in_use(self) -> int:
@@ -65,16 +71,18 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        ev = Event(self.sim, self._ev_name)
         if self._in_use < self.capacity:
-            self._grant(ev)
-        else:
-            self._waiters.append(ev)
-            # queue-wait attribution must stamp the *waiter's* frame now:
-            # the grant later runs in the releasing process's context
-            obs = self.sim.obs
-            if obs is not None and self.obs_kind is not None:
-                obs.wait_begin(self, ev)
+            self._in_use += 1
+            if self._busy_since is None:
+                self._busy_since = self.sim.now
+            return self._granted
+        ev = Event(self.sim, self._ev_name)
+        self._waiters.append(ev)
+        # queue-wait attribution must stamp the *waiter's* frame now:
+        # the grant later runs in the releasing process's context
+        obs = self.sim.obs
+        if obs is not None and self.obs_kind is not None:
+            obs.wait_begin(self, ev)
         return ev
 
     def try_acquire(self) -> bool:

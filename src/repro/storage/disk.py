@@ -109,7 +109,7 @@ class Disk:
         try:
             for attempt in range(_MAX_IO_RETRIES + 1):
                 delay = self._access_time(addr, n_blocks) * self.slow_factor
-                yield self.sim.timeout(delay)
+                yield delay
                 if self.sim.obs is not None:
                     # every attempt's access time counts, retries included:
                     # the op really did wait on the spindle for all of it

@@ -2,7 +2,7 @@
 
 
 def bad_proc(sim):
-    yield 5  # SIM001: the engine cannot wait on an int
+    yield 5  # SIM001: an int is not a number of seconds (5.0 would be)
 
 
 def bad_proc_str(sim):
@@ -11,6 +11,10 @@ def bad_proc_str(sim):
 
 def good_proc(sim):
     yield sim.timeout(1.0)
+
+
+def good_sleep(sim):
+    yield 1.0  # a float literal is a number of seconds to sleep
 
 
 def good_handler(sim):

@@ -154,6 +154,32 @@ def test_compare_reports_new_and_missing_scenarios_non_fatally():
     assert any("missing" in line for line in lines)
 
 
+def test_compare_gates_the_schedule_digests():
+    same, other = "a" * 64, "b" * 64
+    base = bench_document(
+        "engine", [_scenario("kept", digest=same), _scenario("undigested")]
+    )
+    # match, a digest on one side only, a scenario the baseline lacks: ok
+    fresh = bench_document(
+        "engine",
+        [
+            _scenario("kept", digest=same),
+            _scenario("undigested", digest=other),
+            _scenario("added", digest=other),
+        ],
+    )
+    ok, lines = compare_to_baseline(fresh, base)
+    assert ok and not any("SCHEDULE CHANGED" in line for line in lines)
+    assert any("added" in line and "new scenario" in line for line in lines)
+    # mismatch: fails on its own line even though the rate is fine
+    fresh = bench_document("engine", [_scenario("kept", rate=2000, digest=other)])
+    ok, lines = compare_to_baseline(fresh, base)
+    assert not ok
+    changed = [line for line in lines if "SCHEDULE CHANGED" in line]
+    assert len(changed) == 1 and changed[0].startswith("kept")
+    assert any("kept" in line and line.endswith(" ok") for line in lines)
+
+
 def test_write_bench_document_is_deterministic(tmp_path):
     doc = bench_document("engine", [_scenario()], quick=True)
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -1,12 +1,17 @@
 """Smoke tests for the benchmark suites themselves: deterministic op
 counts, stable schedule digests, and the quick workload path."""
 
+import json
+import os
+
 import pytest
 
 from repro.bench import ENGINE_SCENARIOS
 from repro.bench.engine_bench import _schedule_digest
 from repro.bench.workloads import cluster_point
 from repro.sim import Simulator
+
+ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
@@ -32,6 +37,34 @@ def test_engine_scenario_digests_are_distinct():
         for name, (body, _f, _q, digest_n) in ENGINE_SCENARIOS.items()
     }
     assert len(set(digests.values())) == len(digests)
+
+
+def test_sleep_chain_observes_the_schedule_of_timeout_chain():
+    # ``yield d`` must be indistinguishable from ``yield sim.timeout(d)``;
+    # the two digests cannot say so themselves (the name salts them)
+    observed = {}
+    for name in ("timeout-chain", "sleep-chain"):
+        body, _full_n, _quick_n, digest_n = ENGINE_SCENARIOS[name]
+        sim = Simulator()
+        observed[name] = []
+        body(sim, digest_n, observed[name])
+        observed[name].append(("entries", next(sim._counter)))
+    assert observed["sleep-chain"] == observed["timeout-chain"]
+    assert len(observed["sleep-chain"]) == digest_n + 1
+
+
+def test_committed_engine_digests_are_current():
+    # what CI's --check gate compares, held in Tier-1 as well: a reorder
+    # of same-instant entries changes a digest
+    with open(os.path.join(ROOT, "BENCH_engine.json")) as fh:
+        committed = {
+            s["name"]: s["trace_digest"] for s in json.load(fh)["scenarios"]
+        }
+    current = {
+        name: _schedule_digest(name, body, digest_n)
+        for name, (body, _f, _q, digest_n) in ENGINE_SCENARIOS.items()
+    }
+    assert current == committed
 
 
 def test_cluster_point_runs_every_protocol_small():

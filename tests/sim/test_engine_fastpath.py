@@ -1,10 +1,15 @@
 """Tests for the fast-path engine features: cancellable timers, the
-``after()`` handle API, AnyOf loser detachment, and the O(1)
-unhandled-failure bookkeeping."""
+``after()`` handle API, AnyOf loser detachment, the O(1)
+unhandled-failure bookkeeping, and the waits that allocate nothing
+(``yield <float seconds>``, the pre-granted ``Resource.acquire``)."""
+
+import math
 
 import pytest
 
-from repro.sim import AnyOf, Resource, SimulationError, Simulator, Timeout
+from repro.sim import (
+    AnyOf, Interrupt, Resource, SimulationError, Simulator, Timeout,
+)
 
 
 # -- Timeout.cancel ----------------------------------------------------------
@@ -298,3 +303,257 @@ def test_waiterless_failure_still_surfaces_from_run():
     assert len(sim._ready) == 1  # the failed event keeps its dispatch entry
     with pytest.raises(KeyError, match="lost"):
         sim.run()
+
+
+# -- sleep == timeout: same entries, same sequence numbers ---------------------
+#
+# A *program* is a list of processes, each a list of steps:
+#   ("sleep", d)      wait d seconds
+#   ("hold", r, d)    acquire resource r, wait d seconds, release
+#   ("join", k)       wait for process k (k < own index: no cycles)
+#   ("interrupt", k)  interrupt process k if it is still alive
+# run_program executes it with every wait written ``yield sim.timeout(d)``
+# ("timeout") or ``yield d`` ("sleep"); the two must be indistinguishable.
+# tests/property/test_sleep_equivalence.py draws random programs.
+
+
+def _wait(sim, style, d):
+    """One wait of ``d`` seconds, written either way."""
+    return sim.timeout(d) if style == "timeout" else d
+
+
+def run_program(program, capacities, style, sanitize=False):
+    """-> (log of (time, process, step, what), sequence numbers drawn,
+    run() end time, sanitizer findings)."""
+    sim = Simulator()
+    if sanitize:
+        sim.enable_sanitizer(strict=False)
+    resources = [
+        Resource(sim, capacity=c, name="r%d" % i) for i, c in enumerate(capacities)
+    ]
+    log = []
+    procs = []
+
+    def body(me, steps):
+        for n, step in enumerate(steps):
+            kind = step[0]
+            try:
+                if kind == "sleep":
+                    yield _wait(sim, style, step[1])
+                elif kind == "hold":
+                    res = resources[step[1]]
+                    req = res.acquire()
+                    while True:  # an Interrupt must not orphan the request
+                        try:
+                            yield req
+                            break
+                        except Interrupt as intr:
+                            log.append((sim.now, me, n, "intr-acquire:%s" % intr.cause))
+                    try:
+                        yield _wait(sim, style, step[2])
+                    finally:
+                        res.release()
+                elif kind == "join":
+                    yield procs[step[1]]
+                elif kind == "interrupt":
+                    victim = procs[step[1]]
+                    if victim.is_alive:
+                        victim.interrupt("p%d.%d" % (me, n))
+                log.append((sim.now, me, n, kind))
+            except Interrupt as intr:
+                log.append((sim.now, me, n, "intr:%s" % intr.cause))
+
+    for me, steps in enumerate(program):
+        procs.append(sim.spawn(body(me, steps), name="p%d" % me))
+    end = sim.run()
+    findings = [f.kind for f in sim.sanitizer.findings] if sanitize else []
+    return log, next(sim._counter), end, findings
+
+
+def assert_styles_agree(program, capacities, sanitize=False):
+    by_timeout = run_program(program, capacities, "timeout", sanitize)
+    by_sleep = run_program(program, capacities, "sleep", sanitize)
+    assert by_sleep == by_timeout
+    return by_sleep
+
+
+HAND_PROGRAMS = {
+    # three sleepers landing on t=1.0 and t=2.0 together
+    "same-instant sleeps": (
+        [[("sleep", 1.0), ("sleep", 1.0)], [("sleep", 2.0)], [("sleep", 0.0), ("sleep", 1.0)]],
+        [],
+    ),
+    # the Cpu.consume shape, uncontended then contended, capacity 1
+    "holds on one unit": (
+        [[("hold", 0, 1.0), ("hold", 0, 0.5)], [("hold", 0, 1.0)], [("sleep", 0.5), ("hold", 0, 0.0)]],
+        [1],
+    ),
+    # capacity 2 and 3: some acquires pre-granted, some queued
+    "holds on several units": (
+        [[("hold", 0, 1.0)], [("hold", 0, 1.0), ("hold", 1, 1.0)], [("hold", 0, 0.5)],
+         [("hold", 1, 2.0)], [("hold", 1, 2.0)], [("hold", 1, 2.0), ("join", 0)]],
+        [2, 3],
+    ),
+    # interrupts: of a sleeper, of a queued acquirer, of a joiner, of a
+    # process that has not run yet, twice in one instant
+    "interrupts": (
+        [[("sleep", 5.0), ("sleep", 5.0)],
+         [("hold", 0, 4.0)],
+         [("hold", 0, 1.0), ("sleep", 1.0)],
+         [("join", 0), ("sleep", 1.0)],
+         [("sleep", 1.0), ("interrupt", 0), ("interrupt", 2), ("interrupt", 3),
+          ("interrupt", 5), ("interrupt", 0), ("sleep", 9.0), ("interrupt", 0)],
+         [("sleep", 1.0), ("sleep", 3.0)]],
+        [1],
+    ),
+    # a program whose last entry is an interrupted sleeper's timer
+    "lapsed timer is last": ([[("sleep", 10.0)], [("sleep", 1.0), ("interrupt", 0)]], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
+def test_sleep_and_timeout_schedules_are_identical(name):
+    program, capacities = HAND_PROGRAMS[name]
+    log, drawn, _end, _ = assert_styles_agree(program, capacities)
+    assert log and drawn > len(program)
+
+
+def test_interrupted_sleep_lapses_it_is_not_cancelled():
+    # the waiterless Timeout of the old spelling still fires at t=10 and
+    # run() returns 10.0; a sleep entry blanked like a cancelled timer
+    # would be discarded without advancing the clock
+    program, capacities = HAND_PROGRAMS["lapsed timer is last"]
+    log, _drawn, end, _ = assert_styles_agree(program, capacities)
+    assert end == 10.0
+    assert (1.0, 0, 0, "intr:p1.1") in log
+
+
+def test_programs_are_clean_under_the_sanitizer():
+    # the shared pre-granted event must not read as a leak or as an
+    # event resolved twice
+    for program, capacities in HAND_PROGRAMS.values():
+        *_, findings = assert_styles_agree(program, capacities, sanitize=True)
+        assert findings == []
+
+
+@pytest.mark.parametrize("style", ["timeout", "sleep"])
+def test_interrupt_between_wake_and_resume_lands_at_the_next_wait(style):
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        yield _wait(sim, style, 5.0)
+        log.append(("slept", sim.now))
+        try:
+            yield _wait(sim, style, 7.0)
+            log.append(("second sleep done", sim.now))
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+
+    def interrupter(victims):
+        # spawned first and due at the same instant: this resume is
+        # queued before the victim's, and runs after the victim's timer
+        # has fired (its resume is queued, it has not run)
+        yield _wait(sim, style, 5.0)
+        victims[0].interrupt("late")
+
+    victims = []
+    sim.spawn(interrupter(victims))
+    victims.append(sim.spawn(sleeper()))
+    sim.run()
+    assert log == [("slept", 5.0), ("interrupted", 5.0, "late")]
+
+
+def test_negative_sleep_raises_inside_the_generator():
+    sim = Simulator()
+    seen = []
+
+    def by_timeout():
+        try:
+            yield sim.timeout(-1.0)
+        except SimulationError as exc:
+            seen.append(("timeout", str(exc)))
+        yield sim.timeout(1.0)
+        seen.append(("timeout done", sim.now))
+
+    def by_sleep():
+        try:
+            yield -1.0
+        except SimulationError as exc:
+            seen.append(("sleep", str(exc)))
+        yield 1.0
+        seen.append(("sleep done", sim.now))
+
+    sim.spawn(by_timeout())
+    sim.spawn(by_sleep())
+    sim.run()
+    assert seen == [
+        ("timeout", "negative timeout delay -1.0"),
+        ("sleep", "negative timeout delay -1.0"),
+        ("timeout done", 1.0),
+        ("sleep done", 1.0),
+    ]
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan])
+def test_uncaught_bad_sleep_fails_the_process(bad):
+    sim = Simulator()
+
+    def proc():
+        yield bad
+
+    p = sim.spawn(proc())
+    with pytest.raises(SimulationError, match="negative timeout delay"):
+        sim.run()
+    assert not p.ok and not sim._queue  # nothing was scheduled for it
+
+
+@pytest.mark.parametrize("bad", [1, True, "1.0", None])
+def test_only_a_float_is_a_number_of_seconds(bad):
+    # an int is far more often a forgotten ``yield from`` result or a
+    # count than a delay, and bool is an int
+    sim = Simulator()
+
+    def proc():
+        yield bad
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="non-waitable"):
+        sim.run()
+
+
+# -- the pre-granted acquire ---------------------------------------------------
+
+
+def test_uncontended_acquire_returns_one_shared_granted_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=2, name="pair")
+    first, second = res.acquire(), res.acquire()
+    assert first is second and first.triggered and first.value is res
+    assert first.callbacks is None  # nothing can ever subscribe to it
+    assert res.in_use == 2
+    queued = res.acquire()  # contended: a fresh, pending event
+    assert queued is not first and not queued.triggered
+    assert res.queue_length == 1
+    res.release()
+    assert queued.triggered and queued.value is res and res.in_use == 2
+
+
+def test_shared_granted_event_is_safe_in_any_of():
+    sim = Simulator()
+    res = Resource(sim, capacity=1, name="unit")
+    got = []
+
+    def racer():
+        for _ in range(2):
+            timer = sim.timeout(3.0)
+            winner, value = yield sim.any_of([res.acquire(), timer])
+            got.append((sim.now, winner is not timer, value is res))
+            timer.cancel()
+            yield 1.0
+            res.release()
+
+    sim.spawn(racer())
+    assert sim.run() == 2.0
+    assert got == [(0.0, True, True), (1.0, True, True)]
+    assert res.in_use == 0 and res.busy_time() == 2.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import Interrupt, Resource, SimulationError, Simulator
 
 
 def test_process_return_value_visible_to_joiner():
@@ -138,6 +138,100 @@ def test_interrupt_does_not_fire_original_wait():
     sim.spawn(waker(sim, victim))
     sim.run()
     assert log == ["interrupted", "second-sleep-done"]
+
+
+def _wait(sim, style, delay, value=None):
+    """One wait of ``delay`` seconds, written either way."""
+    return sim.timeout(delay, value) if style == "timeout" else delay
+
+
+@pytest.mark.parametrize("style", ["timeout", "sleep"])
+def test_interrupt_before_first_slice_detaches_the_first_wait(style):
+    """interrupt() on a process that has not run yet cannot detach a wait
+    that does not exist; the throw itself must, or the first timer later
+    wakes the second wait."""
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield _wait(sim, style, 5.0, "t1")
+            log.append("t1-resumed")
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        got = yield _wait(sim, style, 100.0, "t2")
+        log.append(("woke", sim.now, got))
+
+    proc = sim.spawn(victim())
+    proc.interrupt("early")
+    sim.run()
+    want = "t2" if style == "timeout" else None
+    assert log == [("interrupted", 0.0, "early"), ("woke", 100.0, want)]
+
+
+@pytest.mark.parametrize("style", ["timeout", "sleep"])
+def test_two_interrupts_in_one_instant_leave_no_stale_wait(style):
+    """The wait entered between two queued throws is abandoned by the
+    second one and must not wake whatever the process waits on next."""
+    sim = Simulator()
+    log = []
+
+    def victim():
+        for n, delay in enumerate((10.0, 20.0, 30.0), 1):
+            try:
+                got = yield _wait(sim, style, delay, "t%d" % n)
+                log.append(("woke", n, sim.now, got))
+            except Interrupt as intr:
+                log.append(("interrupted", n, sim.now, intr.cause))
+
+    def waker(proc):
+        yield sim.timeout(1.0)
+        proc.interrupt("a")
+        proc.interrupt("b")
+
+    sim.spawn(waker(sim.spawn(victim())))
+    sim.run()
+    want = "t3" if style == "timeout" else None
+    assert log == [
+        ("interrupted", 1, 1.0, "a"),
+        ("interrupted", 2, 1.0, "b"),
+        ("woke", 3, 31.0, want),
+    ]
+
+
+@pytest.mark.parametrize("first_wait", ["event", "granted-acquire"])
+def test_throw_does_not_overtake_a_wakeup_already_queued(first_wait):
+    """A wait that ended between interrupt() and the throw has its resume
+    queued behind the throw.  Throwing first would leave that resume to
+    wake the *next* wait, so the resume is delivered first and the
+    Interrupt lands one wait later — what interrupt() on a process whose
+    wakeup is already queued has always done."""
+    sim = Simulator()
+    log = []
+    gate = sim.event()
+    cpu = Resource(sim, capacity=1, name="cpu")
+
+    def victim():
+        got = yield (gate if first_wait == "event" else cpu.acquire())
+        log.append(("first", sim.now, got))
+        try:
+            yield sim.timeout(50.0)
+            log.append("slept")
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        got = yield sim.timeout(100.0, "t3")
+        log.append(("woke", sim.now, got))
+
+    proc = sim.spawn(victim())
+    sim.call_soon(gate.succeed, "g")  # runs between the first slice and the throw
+    proc.interrupt("early")
+    sim.run()
+    first = "g" if first_wait == "event" else cpu
+    assert log == [
+        ("first", 0.0, first),
+        ("interrupted", 0.0, "early"),
+        ("woke", 100.0, "t3"),
+    ]
 
 
 def test_spawn_requires_generator():
