@@ -29,7 +29,7 @@ by ``REPRO_SANITIZE=1`` in the environment, or programmatically via
 ``event-leak``
     The event queue drained (nothing can ever happen again) while an
     untriggered Event still held waiting processes: a deadlock.  Idle
-    service queues (an RPC dispatcher waiting for requests) mark their
+    service queues (a worker pool waiting for work) mark their
     events ``leak_ok`` via ``Store(daemon=True)``.
 
 ``rpc-double-reply``

@@ -280,7 +280,7 @@ def _check_server_procs(cls: ClassInfo) -> Iterable[Finding]:
         if not _is_generator_def(cls.module, fn.node):
             yield _finding(
                 "SEAM001", fn.node, path, fn.qualname, name,
-                "%s() must be a generator (the RPC dispatcher drives "
+                "%s() must be a generator (RpcEndpoint._serve drives "
                 "procedures with 'yield from'); use the "
                 "'return value; yield' idiom if it never blocks" % name,
             )

@@ -37,6 +37,7 @@ from .golden import (
 )
 from .schema import (
     BENCH_SCHEMA,
+    RATE_KEY,
     bench_document,
     compare_to_baseline,
     validate_bench_document,
@@ -60,6 +61,7 @@ __all__ = [
     "run_golden",
     "write_golden",
     "BENCH_SCHEMA",
+    "RATE_KEY",
     "bench_document",
     "validate_bench_document",
     "compare_to_baseline",

@@ -40,7 +40,9 @@ from ..parallel import (
 )
 from .engine_bench import run_engine_suite
 from .golden import check_golden, default_golden_path, write_golden
-from .schema import bench_document, compare_to_baseline, validate_bench_document
+from .schema import (
+    RATE_KEY, bench_document, compare_to_baseline, validate_bench_document,
+)
 from .workloads import run_workload_suite
 
 __all__ = ["register", "run_bench", "run_golden_cli", "emit_obs_artifacts"]
@@ -78,11 +80,12 @@ def emit_obs_artifacts(
 
 def _print_summary(suite: str, scenarios: List[dict], parallel: dict) -> None:
     print("%s suite:" % suite)
+    rate_key = RATE_KEY[suite]
     for s in scenarios:
         digest = (s.get("trace_digest") or "-")[:12]
         print(
-            "  %-22s %12d ops  %8.3fs wall  %10d ev/s  digest %s"
-            % (s["name"], s["ops"], s["wall_seconds"], s["events_per_sec"], digest)
+            "  %-22s %12d ops  %8.3fs wall  %10d %s  digest %s"
+            % (s["name"], s["ops"], s["wall_seconds"], s[rate_key], rate_key, digest)
         )
     for cell in parallel["cells"]:
         if cell.get("error"):
@@ -150,7 +153,9 @@ def run_bench(args) -> int:
 
 
 def run_golden_cli(args) -> int:
-    """``python -m repro golden``: pooled golden-digest check/regen."""
+    """``python -m repro golden``: pooled golden-digest check/regen.
+    ``--check`` exits 1 when the model changed (an output digest differs,
+    a cell errored), 2 when only trace digests moved, 0 on a match."""
     if args.check and args.write:
         raise SystemExit("--check and --write are mutually exclusive")
     jobs = resolve_jobs(args.jobs)
@@ -171,8 +176,13 @@ def run_golden_cli(args) -> int:
     for line in lines:
         print(line)
     print(sweep_summary(accounting))
+    moved = [line.split()[1] for line in lines if line.startswith("MOVED")]
+    model_changed = any(not line.startswith(("ok", "MOVED")) for line in lines)
+    print("model    (output digests): %s" % ("CHANGED" if model_changed else "MATCH"))
+    schedule = " ".join(["MOVED "] + moved) if moved else "MATCH"
+    print("schedule (trace digests):  %s" % schedule)
     print("golden digests %s vs %s" % ("MATCH" if ok else "DIFFER", path))
-    return 0 if ok else 1
+    return 1 if model_changed else 2 if moved else 0
 
 
 def register(sub) -> None:

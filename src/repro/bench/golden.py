@@ -163,7 +163,8 @@ def run_golden(
 def check_golden(
     path: Optional[str] = None, jobs: int = 1, progress=None, accounting=None
 ) -> Tuple[bool, List[str]]:
-    """Recompute all digests and diff against the committed file."""
+    """Recompute all digests and diff against the committed file: an output
+    that differs is ``CHANGED`` (another model), a trace digest ``MOVED``."""
     path = path or default_golden_path()
     ref = read_json(path)
     outputs, traced, errors = run_golden(
@@ -188,7 +189,8 @@ def check_golden(
                 lines.append("NEW      %-24s not in %s" % (name, path))
             elif fresh[name] != committed[name]:
                 ok = False
-                lines.append("CHANGED  %-24s (%s digest moved)" % (name, family))
+                tag = "CHANGED" if family == "output" else "MOVED"
+                lines.append("%-8s %-24s (%s digest differs)" % (tag, name, family))
             else:
                 lines.append("ok       %-24s" % name)
     return ok, lines

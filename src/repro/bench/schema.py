@@ -10,10 +10,11 @@ The shape is :data:`_SPEC` below, field by field.
 
 :func:`compare_to_baseline` implements the CI regression gate: each
 scenario present in both documents must be no slower than
-``(1 - tolerance) *`` the baseline's events/sec, and must carry the
-baseline's ``trace_digest`` when both sides have one.  Engine scenarios
-derive ``wall_seconds`` / ``events_per_sec`` from the **median** of
-their timing repeats (the raw repeats ride along in
+``(1 - tolerance) *`` the baseline's rate (:data:`RATE_KEY`: engine
+``ops`` are scheduler events, workload ``ops`` RPCs and disk transfers),
+and must carry the baseline's ``trace_digest`` when both sides have one.
+Engine scenarios derive ``wall_seconds`` / ``events_per_sec`` from the
+**median** of their timing repeats (the raw repeats ride along in
 ``wall_seconds_repeats``), so one noisy CI repeat cannot fail the
 gate; digest comparison is exact and unaffected.
 
@@ -31,12 +32,16 @@ from ..document import NUMBER, Maybe, check
 
 __all__ = [
     "BENCH_SCHEMA",
+    "RATE_KEY",
     "bench_document",
     "validate_bench_document",
     "compare_to_baseline",
 ]
 
 BENCH_SCHEMA = "repro-bench/1"
+
+#: suite -> the scenario field holding ``ops / wall_seconds``
+RATE_KEY = {"engine": "events_per_sec", "workloads": "ops_per_wall_s"}
 
 _SPEC = {
     "schema": {BENCH_SCHEMA},
@@ -50,7 +55,8 @@ _SPEC = {
             "ops": int,  # deterministic op count
             # "sim_seconds": float | null — simulated time covered
             "wall_seconds": NUMBER,  # wall clock (engine: median of repeats)
-            "events_per_sec": int,  # ops / wall_seconds
+            "events_per_sec": Maybe(int),  # ops / wall_seconds, under RATE_KEY
+            "ops_per_wall_s": Maybe(int),
             "trace_digest": Maybe(str),  # schedule-identity hash
             "wall_seconds_repeats": Maybe([NUMBER]),
         }
@@ -103,8 +109,11 @@ def validate_bench_document(doc) -> List[str]:
     if not doc["scenarios"]:
         problems.append("scenarios must be a non-empty list")
     seen = set()
+    rate_key = RATE_KEY[doc["suite"]]
     for i, scenario in enumerate(doc["scenarios"]):
         where = "scenarios[%d]" % i
+        if scenario.get(rate_key) is None:
+            problems.append("%s missing %r" % (where, rate_key))
         digest = scenario.get("trace_digest")
         if digest is not None and len(digest) != 64:
             problems.append("%s.trace_digest must be null or a sha256 hex" % where)
@@ -122,10 +131,10 @@ def validate_bench_document(doc) -> List[str]:
 def compare_to_baseline(
     fresh: Dict, baseline: Dict, tolerance: float = 0.20
 ) -> Tuple[bool, List[str]]:
-    """Regression gate: fresh events/sec and schedule digests vs the
+    """Regression gate: fresh rates and schedule digests vs the
     committed baseline.
 
-    Both sides' ``events_per_sec`` are median-of-repeats figures (see
+    An engine document's ``events_per_sec`` are median-of-repeats figures (see
     :func:`repro.bench.engine_bench.run_engine_cell`), so a single
     noisy repeat on either side cannot decide the verdict.  A
     ``trace_digest`` is taken on a fixed small variant whatever the run
@@ -137,6 +146,7 @@ def compare_to_baseline(
     are reported but do not fail the gate (suites may grow).
     """
     base = {s["name"]: s for s in baseline.get("scenarios", [])}
+    rate_key = RATE_KEY[fresh["suite"]]
     lines = []
     ok = True
     for scenario in fresh.get("scenarios", []):
@@ -152,7 +162,7 @@ def compare_to_baseline(
                 "%-20s trace_digest %s differs from baseline %s SCHEDULE CHANGED"
                 % (name, digest[:12], ref_digest[:12])
             )
-        rate, ref_rate = scenario["events_per_sec"], ref["events_per_sec"]
+        rate, ref_rate = scenario[rate_key], ref[rate_key]
         if ref_rate <= 0:
             lines.append("%-20s baseline rate is 0; skipped" % name)
             continue
@@ -162,7 +172,7 @@ def compare_to_baseline(
             status = "REGRESSION"
             ok = False
         lines.append(
-            "%-20s %10d ev/s vs %10d baseline (%+5.1f%%) %s"
+            "%-20s %10d /s vs %10d baseline (%+5.1f%%) %s"
             % (name, rate, ref_rate, 100.0 * (ratio - 1.0), status)
         )
     for name in sorted(base):

@@ -312,7 +312,7 @@ def run_workload_cell(
         "ops": measured["ops"],
         "sim_seconds": round(measured["sim_seconds"], 6),
         "wall_seconds": round(wall, 6),
-        "events_per_sec": round(measured["ops"] / wall) if wall else 0,
+        "ops_per_wall_s": round(measured["ops"] / wall) if wall else 0,
         "trace_digest": digest,
     }
 

@@ -82,16 +82,16 @@ def protocol_spec(protocol: str) -> ProtocolSpec:
         ) from None
 
 
-def drive(sim: Simulator, coros, limit: float = 1e7, name: str = "workload"):
+def drive(sim: Simulator, coros, limit: float = 1e7):
     """Run coroutines concurrently to completion; return their values.
 
     Daemons reschedule themselves forever, so the simulator runs until
     the workload's own completion rather than until idle.  A coroutine
     that raises has its exception re-raised here (the others keep
     their progress); reaching ``limit`` first is a :class:`TimeoutError`.
-    ``name`` is the process name, which traces use as the row label.
+    Traces label the processes' row ``workload``.
     """
-    procs = [sim.spawn(coro, name=name) for coro in coros]
+    procs = [sim.spawn(coro, name="workload") for coro in coros]
     gate = procs[0] if len(procs) == 1 else AllOf(sim, procs)
     gate.defuse()
     sim.run_until(gate, limit=limit)
@@ -123,8 +123,6 @@ class Bed:
     mounts: List[Any] = field(default_factory=list)
     oracle: Optional[ConsistencyOracle] = None
     injector: Optional[FaultInjector] = None
-    #: name of the processes this bed drives (the trace row label)
-    thread: str = "workload"
 
     @property
     def kernels(self):
@@ -148,11 +146,11 @@ class Bed:
 
     def run(self, coro, limit: float = 1e7):
         """Drive one coroutine to completion (daemons keep running)."""
-        return drive(self.sim, [coro], limit, self.thread)[0]
+        return drive(self.sim, [coro], limit)[0]
 
     def run_all(self, *coros, limit: float = 1e7):
         """Drive several coroutines concurrently to completion."""
-        return drive(self.sim, coros, limit, self.thread)
+        return drive(self.sim, coros, limit)
 
     # -- failover helpers ---------------------------------------------------
 
@@ -189,19 +187,6 @@ class Bed:
             for shard, server in enumerate(self.servers):
                 self.oracle.check_state_agreement(server, self.shard_mounts(shard))
         self.oracle.check_lost_acked_writes()
-
-
-#: Spellings that carry no behaviour but that traces record — the name
-#: of driven processes (the row label) and the mount id (in cache keys)
-#: — as the committed trace digests pin them, by bed shape
-#: ``(local_tmp, with_oracle)``: load beds, the traced Andrew run, the
-#: fault-injection bed.
-_PINNED_NAMES = {
-    (False, False): ("wrapper", "{protocol}:m{i}"),
-    (False, True): ("wrapper", "{protocol}:m{i}"),
-    (True, False): ("workload", "m{i}"),
-    (True, True): ("workload", "{protocol}{i}"),
-}
 
 
 def build_bed(
@@ -243,8 +228,6 @@ def build_bed(
     if max_open_files is None:
         max_open_files = max(4000, 64 * n_clients)
 
-    thread, mount_id = _PINNED_NAMES[local_tmp, with_oracle]
-
     if shard_map is None:
         exports = [("server", "exportfs")]
     else:
@@ -258,7 +241,6 @@ def build_bed(
         shard_map=shard_map,
         server_hosts=[],
         servers=[],
-        thread=thread,
     )
     for name, fsid in exports:
         shost = Host(
@@ -277,7 +259,7 @@ def build_bed(
         )
         if local_tmp:
             host.add_local_fs("/tmp", fsid="tmpfs%d" % i, disk_name="tmpdisk")
-        tag = mount_id.format(protocol=protocol, i=i)
+        tag = "%s:m%d" % (protocol, i)
         parts: List[Any] = []  # one protocol mount per server, sharing a DNLC
         for k, shost in enumerate(bed.server_hosts):
             part = spec.client(

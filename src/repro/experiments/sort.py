@@ -9,7 +9,9 @@ sync ("infinite write-delay").
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..fs.types import OpenMode
@@ -125,6 +127,17 @@ def _check_sorted(k, path: str, input_data: bytes):
 
 
 # -- table builders ------------------------------------------------------------
+#
+# Tables 5-3..5-6 draw on twelve configurations, six of them more than
+# once; a run is a pure function of its configuration, so the builders
+# share one per process — except under REPRO_TRACE (each run's own tracer).
+
+_shared_run = lru_cache(maxsize=None)(run_sort)
+
+
+def _table_run(protocol: str, size: int, update_enabled: bool = True) -> SortRun:
+    traced = os.environ.get("REPRO_TRACE", "") not in ("", "0")
+    return (run_sort if traced else _shared_run)(protocol, size, update_enabled)
 
 
 def sort_table_5_3(sizes: Optional[List[int]] = None) -> Tuple[str, List[SortRun]]:
@@ -133,7 +146,7 @@ def sort_table_5_3(sizes: Optional[List[int]] = None) -> Tuple[str, List[SortRun
     runs: List[SortRun] = []
     rows = []
     for size in sizes:
-        row_runs = [run_sort(p, size) for p in ("local", "nfs", "snfs")]
+        row_runs = [_table_run(p, size) for p in ("local", "nfs", "snfs")]
         runs.extend(row_runs)
         rows.append(
             [
@@ -151,17 +164,13 @@ def sort_table_5_3(sizes: Optional[List[int]] = None) -> Tuple[str, List[SortRun
 
 def sort_table_5_4(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
     """Table 5-4: RPC calls for the sort benchmark (largest input)."""
-    runs = [run_sort(p, size) for p in ("nfs", "snfs")]
+    runs = [_table_run(p, size) for p in ("nfs", "snfs")]
     return _rpc_table(runs, "Table 5-4: RPC calls for Sort benchmark"), runs
 
 
 def sort_table_5_5(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
     """Table 5-5: sort with infinite write-delay (update daemon off)."""
-    runs = [
-        run_sort("local", size, update_enabled=False),
-        run_sort("nfs", size, update_enabled=False),
-        run_sort("snfs", size, update_enabled=False),
-    ]
+    runs = [_table_run(p, size, False) for p in ("local", "nfs", "snfs")]
     headers = ["Version", "Elapsed"]
     rows = [[r.label, "%.0f sec" % r.result.elapsed] for r in runs]
     table = format_table(
@@ -172,12 +181,7 @@ def sort_table_5_5(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
 
 def sort_table_5_6(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
     """Table 5-6: RPC calls with and without the update daemon."""
-    runs = [
-        run_sort("nfs", size, update_enabled=True),
-        run_sort("nfs", size, update_enabled=False),
-        run_sort("snfs", size, update_enabled=True),
-        run_sort("snfs", size, update_enabled=False),
-    ]
+    runs = [_table_run(p, size, u) for p in ("nfs", "snfs") for u in (True, False)]
     headers = ["Version", "update?", "Reads", "Writes", "Others"]
     rows = []
     for r in runs:

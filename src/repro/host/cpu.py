@@ -32,7 +32,8 @@ class Cpu:
             raise ValueError("negative CPU time")
         if seconds == 0:
             return
-        yield self._proc.acquire()
+        if not self._proc.try_acquire():
+            yield self._proc.acquire()
         span = None
         if self.sim.tracer is not None:
             span = self.sim.tracer.begin(

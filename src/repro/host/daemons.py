@@ -110,9 +110,6 @@ class AsyncPool:
         self._queue.put((make_coro, key, done))
         return done
 
-    def pending_count(self, key: Hashable = None) -> int:
-        return len(self._pending.get(key, ()))
-
     def drain(self, key: Hashable = None):
         """Coroutine: wait for all currently-pending work under ``key``."""
         while True:
@@ -121,11 +118,6 @@ class AsyncPool:
                 return
             for ev in waiting:
                 yield ev
-
-    def drain_all(self):
-        """Coroutine: wait for every pending task under every key."""
-        for key in list(self._pending):
-            yield from self.drain(key)
 
     def _worker(self):
         while True:

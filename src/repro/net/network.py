@@ -6,8 +6,9 @@ serializes on the sender's NIC for ``size / bandwidth`` seconds, then
 arrives at the destination after the propagation ``latency``.  Optional
 random packet loss exercises the RPC retransmission path.
 
-Ports multiplex services on an interface; each listening port is a FIFO
-:class:`~repro.sim.Store` of delivered packets.
+Ports multiplex services on an interface: each bound port names one
+callable that a delivered packet is handed to as it arrives; ``listen``
+binds the ``put`` of a FIFO :class:`~repro.sim.Store` to read from.
 
 Fault injection (``repro.faults``) drives the network through first-class
 hooks rather than test-only monkeypatching: :meth:`Network.partition` /
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..metrics import Counters
 from ..sim import Simulator, Store, Resource
@@ -72,8 +73,8 @@ class Interface:
     """A host's attachment to the network.
 
     ``send`` is a simulation coroutine: it serializes the packet onto
-    the wire (holding the NIC) and schedules delivery.  ``listen``
-    claims a port and returns the Store that incoming packets land in.
+    the wire (holding the NIC) and schedules delivery.  ``bind`` claims
+    a port for a callable; ``listen`` binds a new Store and returns it.
     """
 
     def __init__(self, network: "Network", address: str):
@@ -81,24 +82,29 @@ class Interface:
         self.address = address
         self.sim = network.sim
         self._nic = Resource(self.sim, capacity=1, name="nic:%s" % address)
-        self._ports: Dict[int, Store] = {}
+        self._ports: Dict[int, Callable[[Packet], None]] = {}
+        self._stores: Dict[int, Store] = {}  # the ports listen() bound
         self.up = True  # goes False while the host is crashed
 
-    def listen(self, port: int, daemon: bool = False) -> Store:
+    def bind(self, port: int, receive: Callable[[Packet], None]) -> None:
+        """Hand every packet delivered to ``port`` to ``receive``, inside
+        the delivery: it may trigger events and spawn processes, not wait."""
         if port in self._ports:
             raise NetworkError("port %d already bound on %s" % (port, self.address))
-        store = Store(self.sim, name="%s:%d" % (self.address, port), daemon=daemon)
-        self._ports[port] = store
-        return store
+        self._ports[port] = receive
 
-    def unlisten(self, port: int) -> None:
-        self._ports.pop(port, None)
+    def listen(self, port: int) -> Store:
+        store = Store(self.sim, name="%s:%d" % (self.address, port))
+        self.bind(port, store.put)
+        self._stores[port] = store
+        return store
 
     def send(self, dst: str, port: int, payload: Any, size: int):
         """Coroutine: transmit a packet (returns after serialization)."""
         if size < 0:
             raise NetworkError("negative packet size")
-        yield self._nic.acquire()
+        if not self._nic.try_acquire():
+            yield self._nic.acquire()
         try:
             yield size / self.network.config.bandwidth
         finally:
@@ -120,14 +126,14 @@ class Interface:
                 src=packet.src, dst=packet.dst, size=packet.size,
                 kind=_payload_kind(packet.payload),
             )
-        store = self._ports.get(packet.port)
-        if store is not None:
-            store.put(packet)
+        receive = self._ports.get(packet.port)
+        if receive is not None:
+            receive(packet)
         # unbound port: silently dropped, like UDP to a closed port
 
     def flush_ports(self) -> None:
         """Drop all queued, undelivered packets (used on host crash)."""
-        for store in self._ports.values():
+        for store in self._stores.values():
             while True:
                 ok, _item = store.try_get()
                 if not ok:
@@ -194,8 +200,6 @@ class Network:
         return list(self._trace)
 
     def _record_trace(self, packet: Packet) -> None:
-        if not self.config.trace_packets:
-            return
         self._trace.append(
             (self.sim.now, packet.src, packet.dst, _payload_kind(packet.payload), packet.size)
         )

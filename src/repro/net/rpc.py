@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from ..metrics import Counters
-from ..sim import Event, Resource, Simulator, Store
-from .network import Interface, Network
+from ..sim import Event, Resource, Simulator
+from .network import Interface, Network, Packet
 
 __all__ = [
     "RpcConfig",
@@ -241,7 +241,7 @@ class RpcEndpoint:
         self.cpu = cpu  # object with consume(seconds) coroutine, or None
         self.port = port
         self.iface: Interface = network.attach(address)
-        self._inbox: Store = self.iface.listen(port, daemon=True)
+        self.iface.bind(port, self._on_packet)
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
         self._xids = itertools.count(1)
@@ -259,11 +259,9 @@ class RpcEndpoint:
         # The consistency oracle records server-acknowledged writes here;
         # the SNFS keepalive sweep tracks when each client was last heard.
         self.serve_listeners: list = []
-        self.alive = True
         #: bumped by crash(): lets a _serve coroutine that was mid-handler
         #: when the power failed recognize that its world is gone
         self.boot_epoch = 0
-        self._dispatcher = sim.spawn(self._dispatch_loop(), name="rpc:%s" % address)
 
     # -- server side -----------------------------------------------------
 
@@ -277,19 +275,18 @@ class RpcEndpoint:
         for proc, method in procs.items():
             self.register(proc, getattr(service, method))
 
-    def _dispatch_loop(self):
-        while True:
-            packet = yield self._inbox.get()
-            if not self.alive:
-                continue
-            msg: _Call = packet.payload
-            if msg.is_reply:
-                waiter = self._pending.pop(msg.xid, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(msg)
-                continue
+    def _on_packet(self, packet: Packet) -> None:
+        """The port's receiver, run inside the delivery (which a crashed
+        host's interface never gets to): wake a caller or start a service."""
+        msg: _Call = packet.payload
+        if msg.is_reply:
+            waiter = self._pending.pop(msg.xid, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(msg)
+        else:
             self.sim.spawn(
-                self._serve(msg), name="serve:%s:%s" % (self.address, msg.proc)
+                self._serve(msg, self.boot_epoch),
+                name="serve:%s:%s" % (self.address, msg.proc),
             )
 
     def _note_duplicate(self, msg: _Call, kind: str) -> None:
@@ -305,12 +302,13 @@ class RpcEndpoint:
                 proc=msg.proc, endpoint=self.address, kind=kind
             )
 
-    def _serve(self, msg: _Call):
+    def _serve(self, msg: _Call, epoch: int):
+        if epoch != self.boot_epoch:
+            return  # crashed in the instant the request arrived
         tracer = self.sim.tracer
         if tracer is not None:
             # join the caller's causal tree before recording anything
             tracer.adopt(msg.ctx)
-        epoch = self.boot_epoch
         key = (msg.src, msg.xid)
         try:
             cached = self._dup_cache.begin(key)
@@ -339,7 +337,8 @@ class RpcEndpoint:
             if handler is None:
                 reply.error = RpcProcedureError("no such procedure: %s" % msg.proc)
             else:
-                yield self.threads.acquire()
+                if not self.threads.try_acquire():
+                    yield self.threads.acquire()
                 try:
                     if self.cpu is not None and self.config.cpu_per_call > 0:
                         yield from self.cpu.consume(self.config.cpu_per_call)
@@ -476,7 +475,7 @@ class RpcEndpoint:
         while (attempt := attempt + 1) < attempts:
             if self.cpu is not None and self.config.cpu_per_call > 0:
                 yield from self.cpu.consume(self.config.cpu_per_call)
-            # One event serves both outcomes per attempt: the dispatcher
+            # One event serves both outcomes per attempt: _on_packet
             # succeeds it with the reply _Call; a bare cancellable timer
             # (no Timeout event, no AnyOf condition) succeeds it with the
             # _TIMED_OUT sentinel.  Whichever fires first wins; the
@@ -528,7 +527,6 @@ class RpcEndpoint:
 
     def crash(self) -> None:
         """Lose all volatile RPC state (host crash)."""
-        self.alive = False
         self.boot_epoch += 1
         self.iface.up = False
         self.iface.flush_ports()
@@ -539,5 +537,4 @@ class RpcEndpoint:
         self._dup_cache.clear()
 
     def reboot(self) -> None:
-        self.alive = True
         self.iface.up = True

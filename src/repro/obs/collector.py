@@ -176,6 +176,10 @@ class ObsCollector:
         if frame is not None:
             frame.add(kind + ".queue", dt)
 
+    def wait_abandoned(self, ev) -> None:
+        """The waiter gave up (interrupted, timed out): no grant, no count."""
+        self._stamps.pop(id(ev), None)
+
     # -- server-side hooks --------------------------------------------------
 
     def note_request(self, proc_name: str, src: str) -> None:

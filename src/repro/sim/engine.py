@@ -25,25 +25,30 @@ Scheduling internals (see docs/PERFORMANCE.md for the full story):
   Triggering an event appends directly to it — no heap churn for the
   dominant trigger/dispatch traffic.  Both structures draw sequence
   numbers from one counter, and the run loop always executes the due
-  entry with the smallest sequence number, so the interleaving is
-  byte-identical to the historical single-heap order.
+  entry with the smallest sequence number: one FIFO order over both.
 * A *successful* trigger with no waiter schedules nothing: the entry it
   used to queue called ``_dispatch(event, [])``, which runs no user
   code.  Dropping it shifts every later sequence number by the same
   amount, so no two entries change their relative order.  A *failed*
   waiterless event still goes through ``_dispatch`` — that is where an
   unhandled failure is raised out of the run.
-* A process that yields seconds pushes its own heap entry
-  (``Process._wake``), and that entry queues the resume: the two entries
-  a ``Timeout`` with one waiter costs, with their sequence numbers drawn
-  at the same two moments (when the wait begins, when the timer fires),
-  and no ``Timeout``.  Interrupting the sleeper points the entry at a
-  no-op rather than blanking it: a cancelled entry is discarded without
-  advancing ``now``, a lapsed one must still advance it, as the
-  waiterless ``Timeout`` would.
-* An uncontended ``Resource.acquire`` returns the resource's one
-  pre-granted event; the process that yields it gets the same single
-  resume entry any already-triggered event gives.
+* A process that yields seconds pushes one heap entry whose callback is
+  its own ``_resume``: the sleep's continuation runs when the timer
+  fires, ahead of entries already queued for that instant — a
+  ``Timeout``'s waiter is queued behind them.  Interrupting the sleeper
+  points the entry at a no-op rather than blanking it: a cancelled entry
+  is discarded without advancing ``now``, a lapsed one must still
+  advance it, as the waiterless ``Timeout`` would.
+* A *hold* (CPU, disk arm, NIC, RPC thread admission) takes a free unit
+  with ``Resource.try_acquire()`` and only yields ``acquire()`` when it
+  must queue, so an uncontended hold is one entry — its sleep.
+  ``yield res.acquire()`` (locks, anything raced or stored) still gets
+  the resource's one pre-granted event and the single resume entry any
+  already-triggered event gives.
+* Both reorder same-instant work.  The promise is *model equivalence*:
+  what a process observes (times, values, busy time) does not depend on
+  how one instant's entries interleave unless two processes race for the
+  same thing in that instant, and then either order is a valid run.
 * Processes subscribe ``Process._resume`` itself to what they wait on;
   there is no trampoline between a trigger and the generator.
 """
@@ -332,7 +337,6 @@ class Simulator:
         self._ready: deque = deque()
         self._counter = itertools.count()
         self._running = False
-        self._process_count = 0
         #: the process whose slice is executing right now (None between
         #: slices, e.g. inside a plain scheduled callback)
         self.current_process = None

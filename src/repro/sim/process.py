@@ -7,11 +7,11 @@ non-negative ``float`` of seconds to sleep.  The process is resumed with
 the event's value (``None`` after a sleep), or has the event's exception
 thrown into it.
 
-``yield d`` schedules exactly what ``yield sim.timeout(d)`` does — one
-heap entry, then one ready entry, drawing the same two sequence numbers
-at the same two moments — without allocating a ``Timeout``.  Use
-``sim.timeout()`` when the timer is stored, raced in ``any_of``, or
-cancelled.
+``yield d`` costs one heap entry, which *is* the resume: the continuation
+runs the moment the timer fires — ahead of entries already queued for that
+instant, where ``yield sim.timeout(d)`` queues its resume behind them.
+Model code must not depend on the order of same-instant work.  Use
+``sim.timeout()`` when the timer is stored, raced in ``any_of``, or cancelled.
 
 A process is itself an event, so processes can be joined::
 
@@ -36,7 +36,7 @@ from .engine import Event, Interrupt, SimulationError, Simulator, _UNSET
 __all__ = ["Process"]
 
 
-def _lapsed() -> None:
+def _lapsed(_event: None) -> None:
     """What an interrupted sleeper's heap entry runs.  Not ``None``: the
     run loop discards a cancelled entry without advancing ``now``, while
     a ``Timeout`` that lost its waiter still fires and advances it."""
@@ -77,7 +77,6 @@ class Process(Event):
             sim.tracer.instant(
                 "proc.spawn", cat="sim", track="sim", child=self.name
             )
-        sim._process_count += 1
         sim.call_soon(self._resume, None)
 
     # -- lifecycle ----------------------------------------------------------
@@ -106,20 +105,16 @@ class Process(Event):
         target = self._waiting_on
         if target is None:
             return
-        self._waiting_on = None
         if type(target) is list:
             target[2] = _lapsed
-        elif target.callbacks is not None:
+        elif target.callbacks is None:
+            return  # still what a later throw must let go first
+        else:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-
-    def _wake(self) -> None:
-        """The heap entry of a sleep: queue the resume, as a ``Timeout``
-        with this process as its one waiter would."""
-        sim = self.sim
-        sim._ready.append((next(sim._counter), self._resume, (None,)))
+        self._waiting_on = None
 
     def _resume(self, event: Optional[Event]) -> None:
         # hot path: attribute checks instead of the triggered/ok/value
@@ -153,14 +148,14 @@ class Process(Event):
         # inlined _wait_for for the two common waits: a sleep, and an
         # event (callbacks is None exactly when it already triggered)
         if type(target) is float and target >= 0.0:
-            entry = [sim.now + target, next(sim._counter), self._wake, ()]
+            # the heap entry is the resume: _resume(None) when the timer fires
+            entry = [sim.now + target, next(sim._counter), self._resume, (None,)]
             self._waiting_on = entry
             heappush(sim._queue, entry)
         elif isinstance(target, Event):
             self._waiting_on = target
-            callbacks = target.callbacks
-            if callbacks is not None:
-                callbacks.append(self._resume)
+            if target.callbacks is not None:
+                target.callbacks.append(self._resume)
             else:
                 sim._ready.append((next(sim._counter), self._resume, (target,)))
         else:
@@ -196,27 +191,24 @@ class Process(Event):
 
     def _wait_for(self, target: Any) -> None:
         sim = self.sim
-        if type(target) is float:
-            if target >= 0.0:
-                entry = [sim.now + target, next(sim._counter), self._wake, ()]
-                self._waiting_on = entry
-                heappush(sim._queue, entry)
-            else:  # negative or NaN: raise where sim.timeout() would
-                self._throw_in(
-                    SimulationError("negative timeout delay %r" % target)
-                )
-        elif not isinstance(target, Event):
-            self._finish_fail(
-                SimulationError(
-                    "process %s yielded a non-waitable: %r" % (self.name, target)
-                )
-            )
-        else:
+        if isinstance(target, Event):
             self._waiting_on = target
             if target.callbacks is None:  # already triggered
                 sim.call_soon(self._resume, target)
             else:
                 target.callbacks.append(self._resume)
+        elif type(target) is not float:
+            self._finish_fail(
+                SimulationError(
+                    "process %s yielded a non-waitable: %r" % (self.name, target)
+                )
+            )
+        elif target >= 0.0:
+            entry = [sim.now + target, next(sim._counter), self._resume, (None,)]
+            self._waiting_on = entry
+            heappush(sim._queue, entry)
+        else:  # negative or NaN: raise where sim.timeout() would
+            self._throw_in(SimulationError("negative timeout delay %r" % target))
 
     def _finish_ok(self, value: Any) -> None:
         self._gen.close()

@@ -32,9 +32,14 @@ class Resource:
     the holder must call ``release()`` exactly once per grant.  When a
     unit is free the grant happens inside ``acquire()`` and every such
     call returns the same already-succeeded event (its value is the
-    resource), so ``yield res.acquire()`` allocates nothing.  Accrued
-    busy time is tracked so utilization can be computed: the resource is
-    "busy" whenever at least one unit is held.
+    resource), so ``yield res.acquire()`` allocates nothing.  A *hold*
+    (take a unit, sleep, release) skips even that resume: ``if not
+    res.try_acquire(): yield res.acquire()``.  ``release()`` hands a freed
+    unit straight to the next waiter, so ``try_acquire()`` cannot barge —
+    and passes over a request nobody waits on any more (interrupted, timed
+    out of an ``any_of``): nobody would release a unit granted to it.
+    Accrued busy time is tracked so utilization can be computed: the
+    resource is "busy" whenever at least one unit is held.
     """
 
     #: repro.obs attribution kind ("cpu", "disk", "threads"); owners that
@@ -63,18 +68,11 @@ class Resource:
         return self._in_use
 
     @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    @property
     def queue_length(self) -> int:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            if self._busy_since is None:
-                self._busy_since = self.sim.now
+        if self.try_acquire():
             return self._granted
         ev = Event(self.sim, self._ev_name)
         self._waiters.append(ev)
@@ -89,20 +87,27 @@ class Resource:
         """Acquire immediately if a unit is free; never queues."""
         if self._in_use < self.capacity:
             self._in_use += 1
-            self._note_busy_edge()
+            if self._busy_since is None:
+                self._busy_since = self.sim.now
             return True
         return False
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release of un-acquired resource %s" % self.name)
+        waiters = self._waiters
+        while waiters:  # contended: not the hot path
+            waiter = waiters.popleft()
+            obs = self.sim.obs if self.obs_kind is not None else None
+            if waiter.callbacks:
+                # handed straight over: the unit is never free in between
+                if obs is not None:
+                    obs.wait_end(self, waiter)
+                waiter.succeed(self)
+                return
+            if obs is not None:  # abandoned: granted, it would leak
+                obs.wait_abandoned(waiter)
         self._in_use -= 1
-        if self._waiters and self._in_use < self.capacity:
-            waiter = self._waiters.popleft()
-            obs = self.sim.obs
-            if obs is not None and self.obs_kind is not None:
-                obs.wait_end(self, waiter)
-            self._grant(waiter)
         if self._in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim.now - self._busy_since
             self._busy_since = None
@@ -113,15 +118,6 @@ class Resource:
         if self._busy_since is not None:
             total += self.sim.now - self._busy_since
         return total
-
-    def _grant(self, ev: Event) -> None:
-        self._in_use += 1
-        self._note_busy_edge()
-        ev.succeed(self)
-
-    def _note_busy_edge(self) -> None:
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
 
 
 class Lock(Resource):
@@ -180,8 +176,8 @@ class Store:
     def __init__(self, sim: Simulator, name: str = "", daemon: bool = False):
         self.sim = sim
         self.name = name
-        #: a daemon store feeds an idle service loop (an RPC dispatcher,
-        #: a worker pool): its forever-pending gets are not deadlocks,
+        #: a daemon store feeds an idle service loop (a worker pool):
+        #: its forever-pending gets are not deadlocks,
         #: so the sanitizer's leak check skips them
         self.daemon = daemon
         self._ev_name = "store-get:%s" % name
@@ -212,9 +208,6 @@ class Store:
         if self._items:
             return True, self._items.popleft()
         return False, None
-
-    def peek_all(self) -> List[Any]:
-        return list(self._items)
 
 
 class Broadcast:

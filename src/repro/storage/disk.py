@@ -99,7 +99,8 @@ class Disk:
     def _do_io(self, kind: str, addr: int, n_blocks: int):
         if n_blocks < 1:
             raise ValueError("disk I/O of %d blocks" % n_blocks)
-        yield self._drive.acquire()
+        if not self._drive.try_acquire():
+            yield self._drive.acquire()
         span = None
         if self.sim.tracer is not None:
             span = self.sim.tracer.begin(

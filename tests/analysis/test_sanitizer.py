@@ -105,7 +105,7 @@ def test_event_leak_reported_at_drain():
 
 
 def test_leak_ok_events_are_exempt():
-    # an idle service loop (RPC dispatcher, worker pool) parks on its
+    # an idle service loop (a worker pool) parks on its
     # queue forever; Store(daemon=True) marks those waits leak_ok
     sim = Simulator()
     sim.enable_sanitizer()

@@ -1,13 +1,15 @@
-"""Golden-digest conformance: the optimized engine must compute the
-exact artifacts the pre-optimization engine did.
+"""Golden-digest conformance, two verdicts.
 
-``tests/golden/golden.json`` holds sha256 digests of every paper-facing
-table/figure (rendered text) and the trace digests of the traced
-scenarios, captured at fixed seeds before the engine fast path landed.
-These tests recompute each one; any schedule-visible behavior change
-fails with the scenario's name.
+``tests/golden/golden.json`` holds, at fixed seeds, sha256 digests of
+every paper-facing table/figure (rendered text) and the trace digests of
+the traced scenarios.  An *output* digest that differs means the model
+computes something else: that is never an optimisation.  A *trace*
+digest that differs means same-instant work ran in another order (or was
+traced under other names) — allowed only to a PR whose stated purpose it
+is, which regenerates them in one commit and lists what moved (PR 16 did:
+``outputs`` byte-equal, all four ``trace_digests`` moved).
 
-Regenerate (only after an *intentional* behavior change) with::
+Regenerate (only after an *intentional* change) with::
 
     PYTHONPATH=src python -m repro golden --write -j4
 """
@@ -46,7 +48,7 @@ def test_output_digest_matches_golden(name):
     ref = _load()["outputs"]
     fresh = compute_output_digests([name])
     assert fresh[name] == ref[name], (
-        "rendered output of %r changed vs the pre-optimization golden" % name
+        "MODEL CHANGED: rendered output of %r differs from the golden" % name
     )
 
 
@@ -55,7 +57,7 @@ def test_trace_digest_matches_golden(name):
     ref = _load()["trace_digests"]
     fresh = compute_trace_digests([name])
     assert fresh[name] == ref[name], (
-        "trace digest of %r changed vs the pre-optimization golden" % name
+        "SCHEDULE CHANGED: trace digest of %r differs from the golden" % name
     )
 
 

@@ -84,3 +84,33 @@ def test_check_surfaces_cell_errors_as_failures(tiny_registry, tmp_path, monkeyp
     ok, lines = check_golden(path, jobs=1)
     assert not ok
     assert any(line.startswith("ERROR") and "fake-table" in line for line in lines)
+
+
+def test_cli_tells_model_changed_from_schedule_changed(tiny_registry, tmp_path, capsys):
+    from argparse import Namespace
+
+    from repro.bench.cli import run_golden_cli
+
+    path = str(tmp_path / "golden.json")
+    write_golden(path, jobs=1)
+    args = Namespace(check=True, write=False, path=path, jobs=1)
+    assert run_golden_cli(args) == 0
+    assert "model    (output digests): MATCH" in capsys.readouterr().out
+
+    doc = json.load(open(path))
+    doc["trace_digests"]["fake-traced"] = ["other", "order"]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run_golden_cli(args) == 2  # the schedule alone
+    out = capsys.readouterr().out
+    assert "MOVED    fake-traced" in out
+    assert "model    (output digests): MATCH" in out
+    assert "schedule (trace digests):  MOVED  fake-traced" in out
+
+    doc["outputs"]["fake-table"] = "0" * 64
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert run_golden_cli(args) == 1  # the model, whatever the schedule did
+    out = capsys.readouterr().out
+    assert "CHANGED  fake-table" in out
+    assert "model    (output digests): CHANGED" in out

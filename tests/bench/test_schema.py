@@ -62,6 +62,29 @@ def test_validator_catches_problems():
     assert any("scenarios" in p for p in validate_bench_document(doc))
 
 
+def test_each_suite_names_its_rate_for_what_it_counts():
+    # an engine scenario's ops are scheduler events; a workload
+    # scenario's are RPCs and disk transfers, and its rate says so
+    from repro.bench import RATE_KEY
+
+    assert RATE_KEY == {"engine": "events_per_sec", "workloads": "ops_per_wall_s"}
+    workload = _scenario()
+    workload["ops_per_wall_s"] = workload.pop("events_per_sec")
+    assert validate_bench_document(bench_document("workloads", [workload])) == []
+    assert validate_bench_document(bench_document("engine", [_scenario()])) == []
+    # under the other suite's name it is missing
+    problems = validate_bench_document(bench_document("workloads", [_scenario()]))
+    assert problems == ["scenarios[0] missing 'ops_per_wall_s'"]
+    problems = validate_bench_document(bench_document("engine", [workload]))
+    assert problems == ["scenarios[0] missing 'events_per_sec'"]
+    # and the gate compares the suite's own rate
+    slow = dict(workload, ops_per_wall_s=500)
+    ok, lines = compare_to_baseline(
+        bench_document("workloads", [slow]), bench_document("workloads", [workload])
+    )
+    assert not ok and "REGRESSION" in lines[0]
+
+
 def test_parallel_block_is_optional_and_validated():
     block = {
         "jobs": 2,

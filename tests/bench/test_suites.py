@@ -40,17 +40,28 @@ def test_engine_scenario_digests_are_distinct():
 
 
 def test_sleep_chain_observes_the_schedule_of_timeout_chain():
-    # ``yield d`` must be indistinguishable from ``yield sim.timeout(d)``;
-    # the two digests cannot say so themselves (the name salts them)
-    observed = {}
+    # ``yield d`` must show a process what ``yield sim.timeout(d)`` shows
+    # it; the two digests cannot say so themselves (the name salts them).
+    # The entries differ on purpose: a sleep's heap entry is its resume.
+    observed, entries = {}, {}
     for name in ("timeout-chain", "sleep-chain"):
         body, _full_n, _quick_n, digest_n = ENGINE_SCENARIOS[name]
         sim = Simulator()
         observed[name] = []
         body(sim, digest_n, observed[name])
-        observed[name].append(("entries", next(sim._counter)))
+        entries[name] = next(sim._counter)
     assert observed["sleep-chain"] == observed["timeout-chain"]
-    assert len(observed["sleep-chain"]) == digest_n + 1
+    assert len(observed["sleep-chain"]) == digest_n
+    assert entries == {
+        "timeout-chain": 1 + 2 * digest_n, "sleep-chain": 1 + digest_n,
+    }
+
+
+def test_hold_chain_is_one_entry_per_uncontended_hold():
+    body, _full_n, _quick_n, digest_n = ENGINE_SCENARIOS["hold-chain"]
+    sim = Simulator()
+    body(sim, digest_n, None)
+    assert next(sim._counter) == 1 + digest_n
 
 
 def test_committed_engine_digests_are_current():
@@ -80,3 +91,11 @@ def test_cluster_point_is_deterministic():
     b = cluster_point("snfs", 3, iterations=1)
     assert a[1] == b[1]
     assert a[0].total_rpcs() == b[0].total_rpcs()
+
+
+def test_bench_history_is_one_parseable_row_per_perf_pr():
+    path = os.path.join(os.path.dirname(__file__), "..", "..", "BENCH_history.jsonl")
+    with open(path) as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [row["pr"] for row in rows] == sorted({row["pr"] for row in rows})
+    assert all(row["harness"] and row["seeds"] for row in rows)

@@ -101,7 +101,7 @@ def test_dup_cache_still_suppresses_reexecution_without_a_crash():
         from repro.net.rpc import _Call
 
         msg = _Call(xid=msg_xid, src="client", proc="once", args=())
-        yield from server._serve(msg)
+        yield from server._serve(msg, server.boot_epoch)
         replies.append(server._dup_cache._done[("client", msg_xid)].result)
 
     sim.spawn(resend())

@@ -13,7 +13,9 @@ import pytest
 from repro.nemesis.matrix import cell_seed
 from repro.parallel import CellSpec, run_cells
 
-WALL_KEYS = ("wall_seconds", "wall_seconds_repeats", "events_per_sec")
+WALL_KEYS = (
+    "wall_seconds", "wall_seconds_repeats", "events_per_sec", "ops_per_wall_s",
+)
 
 
 def _stripped(row):

@@ -305,15 +305,30 @@ def test_waiterless_failure_still_surfaces_from_run():
         sim.run()
 
 
-# -- sleep == timeout: same entries, same sequence numbers ---------------------
+# -- sleep == timeout, hold idiom == yield acquire(): same observable model ----
 #
 # A *program* is a list of processes, each a list of steps:
 #   ("sleep", d)      wait d seconds
-#   ("hold", r, d)    acquire resource r, wait d seconds, release
+#   ("hold", r, d)    take a unit of resource r, wait d seconds, release
 #   ("join", k)       wait for process k (k < own index: no cycles)
 #   ("interrupt", k)  interrupt process k if it is still alive
-# run_program executes it with every wait written ``yield sim.timeout(d)``
-# ("timeout") or ``yield d`` ("sleep"); the two must be indistinguishable.
+# run_program executes it in the old spelling ("timeout": every wait is
+# ``yield sim.timeout(d)``, every hold begins ``yield res.acquire()``) or
+# the one the stack uses now ("sleep": ``yield d``, and the hold idiom
+# ``if not res.try_acquire(): yield res.acquire()``).
+#
+# The two spellings do NOT draw the same sequence numbers and do not
+# interleave same-instant work the same way: a sleep's continuation runs
+# when its timer fires, an uncontended hold never visits the scheduler.
+# What must be equal is what a model can observe: each process's own
+# (time, step, outcome) log, where run() stops, every resource's busy
+# time, and a clean sanitizer.  That holds for programs whose processes
+# never *race* — meet at one instant for unrelated reasons and touch the
+# same thing.  Independent processes may collide freely; interacting
+# ones (shared units, interrupts) get delays that keep unrelated
+# instants apart (``spread_delays``).  Instants that coincide for a
+# *cause* — a release and the grant it makes, an end and its joiner, an
+# interrupt and its landing — are in every program.
 # tests/property/test_sleep_equivalence.py draws random programs.
 
 
@@ -322,19 +337,48 @@ def _wait(sim, style, d):
     return sim.timeout(d) if style == "timeout" else d
 
 
-def run_program(program, capacities, style, sanitize=False):
-    """-> (log of (time, process, step, what), sequence numbers drawn,
-    run() end time, sanitizer findings)."""
+def spread_delays(program, stagger=False):
+    """Give every sleep and hold its own power of two as its delay.
+
+    Any instant of the run is then a sum of distinct powers, exact in a
+    double, and two instants are equal only if the same waits led to
+    both: unrelated processes never act at the same moment — except all
+    of them at t=0, in spawn order under either spelling, unless
+    ``stagger`` puts one more such sleep in front of every process."""
+    # step-major, so that the processes' waits are of like size and their
+    # lifetimes overlap; the stagger is the smallest delay of all
+    n_procs = len(program)
+    depth = max(len(steps) for steps in program)
+    spread = []
+    for me, steps in enumerate(program):
+        row = [("sleep", 2.0 ** -(1 + depth * n_procs + me))] if stagger else []
+        for n, step in enumerate(steps):
+            d = 2.0 ** -(1 + n * n_procs + me)
+            if step[0] == "sleep":
+                step = ("sleep", d)
+            elif step[0] == "hold":
+                step = ("hold", step[1], d)
+            row.append(step)
+        spread.append(row)
+    return spread
+
+
+def run_program(program, capacities, style, sanitize=False, twice=None):
+    """-> (one [(time, step, what)] log per process, run() end time,
+    busy time per resource, sanitizer findings), sequence numbers drawn.
+    ``twice`` collects the processes interrupted twice in one instant."""
     sim = Simulator()
     if sanitize:
         sim.enable_sanitizer(strict=False)
     resources = [
         Resource(sim, capacity=c, name="r%d" % i) for i, c in enumerate(capacities)
     ]
-    log = []
+    logs = [[] for _ in program]
     procs = []
+    interrupted_at = {}
 
     def body(me, steps):
+        log = logs[me]
         for n, step in enumerate(steps):
             kind = step[0]
             try:
@@ -342,13 +386,10 @@ def run_program(program, capacities, style, sanitize=False):
                     yield _wait(sim, style, step[1])
                 elif kind == "hold":
                     res = resources[step[1]]
-                    req = res.acquire()
-                    while True:  # an Interrupt must not orphan the request
-                        try:
-                            yield req
-                            break
-                        except Interrupt as intr:
-                            log.append((sim.now, me, n, "intr-acquire:%s" % intr.cause))
+                    # interrupted while queued: the request is abandoned
+                    # and the step with it; no unit is held
+                    if style == "timeout" or not res.try_acquire():
+                        yield res.acquire()
                     try:
                         yield _wait(sim, style, step[2])
                     finally:
@@ -358,54 +399,63 @@ def run_program(program, capacities, style, sanitize=False):
                 elif kind == "interrupt":
                     victim = procs[step[1]]
                     if victim.is_alive:
+                        if twice is not None and interrupted_at.get(victim) == sim.now:
+                            twice.append(victim.name)
+                        interrupted_at[victim] = sim.now
                         victim.interrupt("p%d.%d" % (me, n))
-                log.append((sim.now, me, n, kind))
+                log.append((sim.now, n, kind))
             except Interrupt as intr:
-                log.append((sim.now, me, n, "intr:%s" % intr.cause))
+                log.append((sim.now, n, "intr:%s" % intr.cause))
 
     for me, steps in enumerate(program):
         procs.append(sim.spawn(body(me, steps), name="p%d" % me))
     end = sim.run()
+    assert all(res.in_use == 0 and res.queue_length == 0 for res in resources)
+    busy = [res.busy_time() for res in resources]
     findings = [f.kind for f in sim.sanitizer.findings] if sanitize else []
-    return log, next(sim._counter), end, findings
+    return (logs, end, busy, findings), next(sim._counter)
 
 
 def assert_styles_agree(program, capacities, sanitize=False):
-    by_timeout = run_program(program, capacities, "timeout", sanitize)
-    by_sleep = run_program(program, capacities, "sleep", sanitize)
+    by_timeout, drawn_timeout = run_program(program, capacities, "timeout", sanitize)
+    by_sleep, drawn_sleep = run_program(program, capacities, "sleep", sanitize)
     assert by_sleep == by_timeout
+    assert drawn_sleep <= drawn_timeout
     return by_sleep
 
 
 HAND_PROGRAMS = {
-    # three sleepers landing on t=1.0 and t=2.0 together
+    # independent sleepers landing on t=1.0 and t=2.0 together
     "same-instant sleeps": (
         [[("sleep", 1.0), ("sleep", 1.0)], [("sleep", 2.0)], [("sleep", 0.0), ("sleep", 1.0)]],
         [],
     ),
-    # the Cpu.consume shape, uncontended then contended, capacity 1
+    # the Cpu.consume shape, uncontended then contended, capacity 1; every
+    # coincidence is causal (a release and the grant it makes)
     "holds on one unit": (
         [[("hold", 0, 1.0), ("hold", 0, 0.5)], [("hold", 0, 1.0)], [("sleep", 0.5), ("hold", 0, 0.0)]],
         [1],
     ),
-    # capacity 2 and 3: some acquires pre-granted, some queued
+    # capacity 2 and 3: some holds inline, some queued
     "holds on several units": (
         [[("hold", 0, 1.0)], [("hold", 0, 1.0), ("hold", 1, 1.0)], [("hold", 0, 0.5)],
          [("hold", 1, 2.0)], [("hold", 1, 2.0)], [("hold", 1, 2.0), ("join", 0)]],
         [2, 3],
     ),
-    # interrupts: of a sleeper, of a queued acquirer, of a joiner, of a
-    # process that has not run yet, twice in one instant
-    "interrupts": (
-        [[("sleep", 5.0), ("sleep", 5.0)],
-         [("hold", 0, 4.0)],
-         [("hold", 0, 1.0), ("sleep", 1.0)],
-         [("join", 0), ("sleep", 1.0)],
-         [("sleep", 1.0), ("interrupt", 0), ("interrupt", 2), ("interrupt", 3),
-          ("interrupt", 5), ("interrupt", 0), ("sleep", 9.0), ("interrupt", 0)],
-         [("sleep", 1.0), ("sleep", 3.0)]],
-        [1],
-    ),
+    # interrupts: of a process that has not run yet (4 by 0), of a sleeper
+    # (0), of a queued acquirer (2: its request is abandoned, and the unit
+    # must reach 6 behind it), of a joiner (3), of a holder mid-sleep (1),
+    # twice in one instant (0)
+    "interrupts": (spread_delays(
+        [[("interrupt", 4), ("sleep",), ("sleep",), ("sleep",)],
+         [("hold", 0)],
+         [("hold", 0), ("sleep",)],
+         [("join", 0), ("sleep",)],
+         [("sleep",), ("sleep",), ("interrupt", 0), ("interrupt", 2), ("interrupt", 3),
+          ("interrupt", 0), ("sleep",), ("interrupt", 1)],
+         [("sleep",), ("sleep",)],
+         [("hold", 0), ("join", 5)]]
+    ), [1]),
     # a program whose last entry is an interrupted sleeper's timer
     "lapsed timer is last": ([[("sleep", 10.0)], [("sleep", 1.0), ("interrupt", 0)]], []),
 }
@@ -413,9 +463,22 @@ HAND_PROGRAMS = {
 
 @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
 def test_sleep_and_timeout_schedules_are_identical(name):
+    # identical *per process*: the global interleaving is not promised
     program, capacities = HAND_PROGRAMS[name]
-    log, drawn, _end, _ = assert_styles_agree(program, capacities)
-    assert log and drawn > len(program)
+    logs, end, _busy, _ = assert_styles_agree(program, capacities)
+    assert all(logs) and end > 0.0
+
+
+def test_interrupts_program_takes_the_paths_it_names():
+    program, capacities = HAND_PROGRAMS["interrupts"]
+    logs, _end, _busy, _ = assert_styles_agree(program, capacities)
+    outcomes = [[what.split(":")[0] for _t, _n, what in log] for log in logs]
+    assert outcomes[4][0] == "intr"  # before its first slice
+    assert outcomes[0][1:3] == ["intr", "intr"]  # twice in one instant
+    assert outcomes[2][0] == "intr"  # while queued: nothing to release
+    assert outcomes[3][0] == "intr"  # while joining
+    assert outcomes[1] == ["intr"]  # mid-hold: the finally released
+    assert outcomes[6] == ["hold", "join"]  # the unit passed the abandoned request
 
 
 def test_interrupted_sleep_lapses_it_is_not_cancelled():
@@ -423,21 +486,64 @@ def test_interrupted_sleep_lapses_it_is_not_cancelled():
     # run() returns 10.0; a sleep entry blanked like a cancelled timer
     # would be discarded without advancing the clock
     program, capacities = HAND_PROGRAMS["lapsed timer is last"]
-    log, _drawn, end, _ = assert_styles_agree(program, capacities)
+    logs, end, _busy, _ = assert_styles_agree(program, capacities)
     assert end == 10.0
-    assert (1.0, 0, 0, "intr:p1.1") in log
+    assert logs[0] == [(1.0, 0, "intr:p1.1")]
 
 
 def test_programs_are_clean_under_the_sanitizer():
-    # the shared pre-granted event must not read as a leak or as an
+    # neither the shared pre-granted event, nor a hold that never made
+    # an event, nor an abandoned request may read as a leak or as an
     # event resolved twice
     for program, capacities in HAND_PROGRAMS.values():
         *_, findings = assert_styles_agree(program, capacities, sanitize=True)
         assert findings == []
 
 
-@pytest.mark.parametrize("style", ["timeout", "sleep"])
+def test_interrupt_of_a_sleeper_at_the_instant_its_timer_is_due():
+    # The old engine had a window between a sleep's timer firing and the
+    # queued resume running, and a test for an interrupt landing inside
+    # it.  The timer entry now *is* the resume, so that window is gone:
+    # an interrupter whose own timer is ahead in the heap finds the
+    # victim still asleep and the interrupt ends that sleep; one behind
+    # it finds the victim already past it, in its next wait.
+    def run(interrupter_first):
+        sim = Simulator()
+        log = []
+
+        def sleeper():
+            try:
+                yield 5.0
+                log.append(("slept", sim.now))
+                yield 7.0
+                log.append(("second sleep done", sim.now))
+            except Interrupt as intr:
+                log.append(("interrupted", sim.now, intr.cause))
+
+        def interrupter(victims):
+            yield 5.0
+            victims[0].interrupt("late")
+
+        victims = []
+        if interrupter_first:
+            sim.spawn(interrupter(victims))
+        victims.append(sim.spawn(sleeper()))
+        if not interrupter_first:
+            sim.spawn(interrupter(victims))
+        # the lapsed timer still advances the clock: the first sleep's
+        # to where it already is, the second's to t=12
+        return log, sim.run()
+
+    assert run(interrupter_first=True) == ([("interrupted", 5.0, "late")], 5.0)
+    assert run(interrupter_first=False) == (
+        [("slept", 5.0), ("interrupted", 5.0, "late")], 12.0,
+    )
+
+
+@pytest.mark.parametrize("style", ["timeout"])  # "sleep": see the test above
 def test_interrupt_between_wake_and_resume_lands_at_the_next_wait(style):
+    # a Timeout still queues its waiter's resume; an interrupt issued
+    # while that resume is queued must not overtake it
     sim = Simulator()
     log = []
 
@@ -464,6 +570,53 @@ def test_interrupt_between_wake_and_resume_lands_at_the_next_wait(style):
     assert log == [("slept", 5.0), ("interrupted", 5.0, "late")]
 
 
+# -- what a wait costs: exact sequence-number pins ----------------------------
+
+
+def _drawn_by(build):
+    """Sequence numbers one process built by ``build(sim)`` draws beyond
+    its own first slice."""
+    sim = Simulator()
+    sim.spawn(build(sim))
+    sim.run()
+    return next(sim._counter) - 1
+
+
+def test_a_sleep_draws_one_sequence_number_a_timeout_two():
+    def sleep(sim):
+        yield 1.0
+
+    def timeout(sim):
+        yield sim.timeout(1.0)
+
+    assert _drawn_by(sleep) == 1  # the heap entry is the resume
+    assert _drawn_by(timeout) == 2  # the timer, then the waiter's resume
+
+
+def test_an_uncontended_hold_draws_one_sequence_number_a_contended_one_two():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def hold(d):
+        if not res.try_acquire():
+            yield res.acquire()
+        try:
+            yield d
+        finally:
+            res.release()
+
+    sim.spawn(hold(1.0))
+    sim.run()
+    assert next(sim._counter) == 1 + 1  # first slice + the sleep
+    sim.spawn(hold(1.0))
+    sim.spawn(hold(1.0))
+    sim.run()
+    # two first slices, the holder's sleep, then the queued one: the
+    # resume its grant queues + its sleep
+    assert next(sim._counter) == 3 + 2 + 1 + 2
+    assert res.busy_time() == 3.0
+
+
 def test_negative_sleep_raises_inside_the_generator():
     sim = Simulator()
     seen = []
@@ -487,12 +640,13 @@ def test_negative_sleep_raises_inside_the_generator():
     sim.spawn(by_timeout())
     sim.spawn(by_sleep())
     sim.run()
-    assert seen == [
+    # both raise in their first slice; which "done" comes first at t=1.0
+    # is same-instant order, which nothing may depend on
+    assert seen[:2] == [
         ("timeout", "negative timeout delay -1.0"),
         ("sleep", "negative timeout delay -1.0"),
-        ("timeout done", 1.0),
-        ("sleep done", 1.0),
     ]
+    assert sorted(seen[2:]) == [("sleep done", 1.0), ("timeout done", 1.0)]
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan])
@@ -535,6 +689,7 @@ def test_uncontended_acquire_returns_one_shared_granted_event():
     queued = res.acquire()  # contended: a fresh, pending event
     assert queued is not first and not queued.triggered
     assert res.queue_length == 1
+    queued.callbacks.append(lambda ev: None)  # somebody waits on it
     res.release()
     assert queued.triggered and queued.value is res and res.in_use == 2
 

@@ -234,6 +234,40 @@ def test_throw_does_not_overtake_a_wakeup_already_queued(first_wait):
     ]
 
 
+def test_second_interrupt_does_not_make_the_first_overtake_a_queued_wakeup():
+    """interrupt() on a process whose wakeup is queued must leave it
+    marked as waiting on that (triggered) event: an earlier throw still
+    queued reads the mark to let the wakeup go first.  Clearing it threw
+    the first Interrupt at ``yield cpu.acquire()`` with the unit already
+    taken, and nothing ever released it."""
+    sim = Simulator()
+    log = []
+    cpu = Resource(sim, capacity=1, name="cpu")
+
+    def victim():
+        yield cpu.acquire()
+        try:
+            try:
+                yield sim.timeout(50.0)
+            except Interrupt as intr:
+                log.append(("interrupted", sim.now, intr.cause))
+            try:
+                yield sim.timeout(50.0)
+            except Interrupt as intr:
+                log.append(("interrupted", sim.now, intr.cause))
+        finally:
+            cpu.release()
+
+    proc = sim.spawn(victim())
+    # "b" is issued after the victim's first slice, while the throw of
+    # "a" (issued before it) is still queued
+    sim.call_soon(proc.interrupt, "b")
+    proc.interrupt("a")
+    sim.run()
+    assert log == [("interrupted", 0.0, "b"), ("interrupted", 0.0, "a")]
+    assert cpu.in_use == 0
+
+
 def test_spawn_requires_generator():
     sim = Simulator()
     with pytest.raises(SimulationError):

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.sim import Broadcast, Lock, Resource, Semaphore, SimulationError, Simulator, Store
+from repro.sim import (
+    Broadcast, Interrupt, Lock, Resource, Semaphore, SimulationError, Simulator,
+    Store,
+)
 
 
 # -- Resource ---------------------------------------------------------------
@@ -95,6 +98,75 @@ def test_resource_busy_time_overlapping_holders_count_once():
     sim.spawn(worker(sim, 5, 3))
     sim.run()
     assert res.busy_time() == pytest.approx(10.0)
+
+
+def test_waiter_interrupted_while_queued_does_not_swallow_the_unit():
+    # the holder holds 1 s; the victim queues behind it and is interrupted
+    # at 0.5 s (Host.crash() stopping an update daemon whose sync waits
+    # for the disk arm); nobody will ever release a unit granted to the
+    # victim's abandoned request, so release() must pass it over
+    sim = Simulator()
+    res = Resource(sim, capacity=1, name="arm")
+    log = []
+
+    def holder():
+        yield res.acquire()
+        yield 1.0
+        res.release()
+
+    def victim():
+        try:
+            yield res.acquire()
+            log.append("victim got the unit")
+        except Interrupt as intr:
+            log.append(("victim interrupted", sim.now, intr.cause))
+
+    def third():
+        yield 2.0
+        yield res.acquire()
+        log.append(("third got the unit", sim.now))
+        res.release()
+
+    sim.spawn(holder())
+    doomed = sim.spawn(victim())
+    sim.spawn(third())
+    sim.after(0.5, doomed.interrupt, "crash")
+    sim.run()
+    assert log == [("victim interrupted", 0.5, "crash"), ("third got the unit", 2.0)]
+    assert res.in_use == 0 and res.queue_length == 0
+    assert res.busy_time() == 1.0
+
+
+def test_abandoned_waiter_is_passed_over_for_the_next_live_one():
+    # the unit goes to the first waiter somebody still waits on, at the
+    # instant of the release — an any_of that timed out abandons its
+    # request just as an interrupt does
+    sim = Simulator()
+    res = Resource(sim, capacity=1, name="arm")
+    log = []
+
+    def holder():
+        yield res.acquire()
+        yield 1.0
+        res.release()
+
+    def impatient():
+        timer = sim.timeout(0.25)
+        winner, _ = yield sim.any_of([res.acquire(), timer])
+        log.append(("impatient", sim.now, winner is timer))
+
+    def patient():
+        yield res.acquire()
+        log.append(("patient", sim.now))
+        yield 1.0
+        res.release()
+
+    sim.spawn(holder())
+    sim.spawn(impatient())
+    sim.spawn(patient())
+    assert sim.run() == 2.0
+    assert log == [("impatient", 0.25, True), ("patient", 1.0)]
+    assert res.in_use == 0 and res.busy_time() == 2.0
 
 
 def test_resource_invalid_capacity():
@@ -229,7 +301,7 @@ def test_store_try_get_and_len():
     assert len(store) == 2
     ok, item = store.try_get()
     assert ok and item == 1
-    assert store.peek_all() == [2]
+    assert len(store) == 1 and store.try_get() == (True, 2)
 
 
 # -- Broadcast ---------------------------------------------------------------
