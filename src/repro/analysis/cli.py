@@ -175,7 +175,7 @@ def register(sub) -> None:
     p_lint.add_argument(
         "--seam",
         action="store_true",
-        help="run the policy/server seam contract pass (SEAM001-SEAM003)",
+        help="run the policy/server seam contract pass (SEAM001-SEAM004)",
     )
     p_lint.add_argument(
         "--baseline",

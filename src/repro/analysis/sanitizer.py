@@ -53,16 +53,19 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from ..obs import probe as _probe
+
 __all__ = ["Sanitizer", "SanitizerError", "RuntimeFinding"]
 
-_OWN_FILE = __file__
+#: frames that relay a report rather than make one
+_OWN_FILES = (__file__, _probe.__file__)
 
 Site = Tuple[str, int]
 
 
 def _call_sites(limit: int = 8) -> Tuple[Site, ...]:
     """``(filename, lineno)`` for the instrumented caller's frames,
-    innermost first, skipping the sanitizer's own frames.
+    innermost first, skipping the sanitizer's and the probe's own frames.
 
     These are the *detection* sites; the static atomicity pass promises
     that every runtime finding's sites intersect a statically flagged
@@ -72,7 +75,7 @@ def _call_sites(limit: int = 8) -> Tuple[Site, ...]:
     frame = sys._getframe(1)
     while frame is not None and len(sites) < limit:
         filename = frame.f_code.co_filename
-        if filename != _OWN_FILE:
+        if filename not in _OWN_FILES:
             sites.append((filename, frame.f_lineno))
         frame = frame.f_back
     return tuple(sites)

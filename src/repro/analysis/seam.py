@@ -31,11 +31,19 @@ in the base classes — this pass makes it checkable:
     are *crash-state* attributes: resetting one outside ``__init__``
     and the crash/reboot hooks silently re-runs crash semantics on a
     live server.
+
+``SEAM004`` (error) — one probe seam.
+    Model code reports through ``sim.probe`` and nothing else: reading
+    ``.tracer``/``.metrics``/``.obs``/``.sanitizer`` off a simulator, or
+    importing ``repro.trace``, ``repro.metrics.registry``, ``repro.obs``
+    or ``repro.analysis``, is allowed only in ``sim/engine.py`` (which
+    owns the slots) and the instrumentation and harness packages.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterable, List, Optional, Set, Tuple
 
 from .callgraph import ClassInfo, FunctionInfo, ProjectIndex
@@ -62,6 +70,15 @@ _RPC_EXEMPT = frozenset({"call", "reclaim", "on_server_recovering"})
 _HOST_HOOKS = ("on_host_crash", "on_host_reboot")
 
 _CRASH_HOOKS = ("on_server_crash", "on_server_reboot")
+
+#: what only sim/engine.py and _OBSERVER_OWNERS ("": the CLI glue) may reach
+_OBSERVER_REACH = re.compile(
+    r"sim\.(tracer|metrics|obs|sanitizer)$"
+    r"|repro\.(trace|metrics\.registry|obs|analysis)(\.|$)"
+)
+_OBSERVER_OWNERS = frozenset(
+    {"", "trace", "metrics", "obs", "analysis", "bench", "experiments", "nemesis", "parallel"}
+)
 
 
 def _arity(node: ast.FunctionDef) -> Tuple[int, int, bool]:
@@ -138,6 +155,7 @@ def analyze_index(index: ProjectIndex) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(_check_policies(index))
     findings.extend(_check_servers(index))
+    findings.extend(_check_probe_seam(index))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -369,6 +387,35 @@ def _check_table_discipline(cls: ClassInfo) -> Iterable[Finding]:
                     "owns: mutating table state off the on_server_crash/"
                     "reboot path re-runs crash semantics on a live "
                     "server" % (name, reset_attr),
+                )
+
+
+# -- the probe seam --------------------------------------------------------
+
+
+def _check_probe_seam(index: ProjectIndex) -> Iterable[Finding]:
+    for module in index.modules:
+        path, package = module.path, module.subpackage
+        if package in _OBSERVER_OWNERS or (package == "sim" and path.endswith("engine.py")):
+            continue
+        for node in ast.walk(module.tree):
+            reached: List[str] = []
+            if isinstance(node, ast.Attribute):
+                owner = node.value  # "on a simulator": sim.x or <anything>.sim.x
+                if getattr(owner, "attr", getattr(owner, "id", None)) == "sim":
+                    reached = ["sim." + node.attr]
+            elif isinstance(node, ast.Import):
+                reached = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level != 1:  # 1: a sibling
+                base = ("repro." if node.level == 2 else "") + (node.module or "")
+                reached = [base] + ["%s.%s" % (base, a.name) for a in node.names]
+            subject = next(filter(_OBSERVER_REACH.match, reached), None)
+            if subject is not None:
+                fn = module.enclosing_function(node)
+                yield _finding(
+                    "SEAM004", node, path, fn.name if fn else "<module>", subject,
+                    "%s reaches past the probe seam: model code reports each "
+                    "event once through sim.probe (repro.obs.probe)" % subject,
                 )
 
 

@@ -89,6 +89,8 @@ def run_andrew(
     bed.client.rpc.client_stats.reset()
     if bed.server_host is not None:
         bed.server_host.rpc.server_stats.reset()
+        if keep_call_times:
+            bed.server_host.rpc.call_log.clear()
         bed.server_host.rpc.client_stats.reset()
         for disk in bed.server_host.disks.values():
             disk.stats.reset()
@@ -118,17 +120,14 @@ def run_andrew(
     if sampler is not None:
         # keep the benchmark window only, re-zeroed to its start
         run.server_utilization = sampler.series.window(t0, bed.sim.now).shifted(-t0)
-        stats = bed.server_host.rpc.server_stats
+        log = bed.server_host.rpc.call_log
+        read, write = "%s.read" % protocol, "%s.write" % protocol
         run.call_times = {
-            "total": [t - t0 for t, _name in stats.all_times()],
-            "read": [t - t0 for t in stats.times(_proc(protocol, "read"))],
-            "write": [t - t0 for t in stats.times(_proc(protocol, "write"))],
+            "total": [t - t0 for t, _name in log],
+            "read": [t - t0 for t, name in log if name == read],
+            "write": [t - t0 for t, name in log if name == write],
         }
     return run
-
-
-def _proc(protocol: str, base: str) -> str:
-    return "%s.%s" % (protocol, base)
 
 
 def andrew_table_5_1(

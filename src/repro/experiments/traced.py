@@ -83,14 +83,12 @@ def run_traced_andrew(
         raise ValueError("traced run supports nfs/snfs, not %r" % protocol)
     sim = Simulator()
     if trace:
-        # REPRO_TRACE=1 may already have enabled these in __init__
-        tracer = sim.tracer if sim.tracer is not None else sim.enable_tracer(trace_resumes)
-        metrics = sim.metrics if sim.metrics is not None else sim.enable_metrics()
-        # latency attribution rides along: the collector adds no events
-        # or processes, so trace digests are unchanged by it
+        # idempotent: REPRO_TRACE=1 may already have enabled these
+        sim.enable_tracer(trace_resumes)
+        # latency attribution (and the registry it implies) rides along:
+        # the collector adds no events or processes, so trace digests are
+        # unchanged by it
         sim.enable_obs()
-    else:
-        tracer, metrics = sim.tracer, sim.metrics
 
     bed = build_bed(
         protocol, 2, sim=sim, local_tmp=True,
@@ -136,8 +134,8 @@ def run_traced_andrew(
         protocol=protocol,
         seed=seed,
         sim=sim,
-        tracer=tracer,
-        metrics=metrics,
+        tracer=sim.tracer,
+        metrics=sim.metrics,
         result=result,
         epilogue_bytes=read_bytes[0],
         server_host=bed.server_host,

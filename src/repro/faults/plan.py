@@ -156,12 +156,11 @@ class FaultInjector:
 
     def _note(self, what: str, kind: str = "fault") -> None:
         self.log.append((self.sim.now, what))
-        if self.sim.metrics is not None:
-            self.sim.metrics.counter("faults.events").inc(kind=kind)
-        if self.trace and self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "fault.%s" % kind, cat="faults", track="faults", what=what
-            )
+        probe = self.sim.probe
+        if probe is not None:
+            probe.count("faults.events", kind=kind)
+            if self.trace:
+                probe.mark("fault.%s" % kind, "faults", "faults", what=what)
 
     # -- one timed process per event kind ---------------------------------
 

@@ -34,18 +34,18 @@ class Cpu:
             return
         if not self._proc.try_acquire():
             yield self._proc.acquire()
+        probe = self.sim.probe
         span = None
-        if self.sim.tracer is not None:
-            span = self.sim.tracer.begin(
-                "cpu.busy", cat="cpu", track=self.name, seconds=seconds
-            )
+        if probe is not None:
+            span = probe.span_begin("cpu.busy", "cpu", self.name, seconds=seconds)
         try:
             yield seconds / self.speed
-            if self.sim.obs is not None:
-                self.sim.obs.add("cpu.service", seconds / self.speed)
+            probe = self.sim.probe
+            if probe is not None:
+                probe.spent("cpu.service", seconds / self.speed)
         finally:
             if span is not None:
-                self.sim.tracer.end(span)
+                probe.span_end(span)
             self._proc.release()
 
     def busy_time(self) -> float:

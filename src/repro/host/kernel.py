@@ -168,35 +168,27 @@ class Kernel:
             )
         return fd
 
-    def _fd_span(self, fd: int, label: str):
-        """SimTSan: open an operation span on this descriptor.
-
-        Each read/write/close is a multi-interval read-modify-write of
+    def _fd_region(self, fd: int, label: str):
+        """Each read/write/close is a multi-interval read-modify-write of
         the descriptor (offset, fd table); two processes driving one fd
         with no lock between them interleave those updates, which the
         sanitizer reports as a write/write race.
         """
-        sanitizer = self.sim.sanitizer
-        if sanitizer is None:
+        if self.sim.probe is None:
             return None
-        span = sanitizer.begin("fd", (self.host.name, fd), label)
-        sanitizer.note_write("fd", (self.host.name, fd), what=label)
-        return span
-
-    def _fd_span_end(self, span) -> None:
-        if span is not None:
-            self.sim.sanitizer.end(span)
+        return self.sim.probe.region_begin("fd", (self.host.name, fd), label, wrote=True)
 
     def close(self, fd: int):
         """Coroutine: close a descriptor (protocol close actions run here)."""
         yield from self._charge()
         desc = self._fd(fd)
-        span = self._fd_span(fd, "close")
+        region = self._fd_region(fd, "close")
         try:
             del self._fds[fd]
             yield from desc.gnode.fs.close(desc.gnode, desc.mode)
         finally:
-            self._fd_span_end(span)
+            if region is not None:
+                self.sim.probe.region_end(region)
         if self.tracer is not None:
             self.tracer.on_close(self.host.name, fd, self.sim.now)
 
@@ -204,13 +196,14 @@ class Kernel:
         """Coroutine: read up to count bytes at the fd offset."""
         yield from self._charge()
         desc = self._fd(fd)
-        span = self._fd_span(fd, "read")
+        region = self._fd_region(fd, "read")
         try:
             offset = desc.offset
             data = yield from desc.gnode.fs.read(desc.gnode, offset, count)
             desc.offset += len(data)
         finally:
-            self._fd_span_end(span)
+            if region is not None:
+                self.sim.probe.region_end(region)
         if self.tracer is not None:
             self.tracer.on_read(
                 self.host.name, fd, offset, count, bytes(data), self.sim.now
@@ -223,13 +216,14 @@ class Kernel:
         desc = self._fd(fd)
         if not desc.mode.is_write:
             raise ReadOnly("fd %d is read-only" % fd)
-        span = self._fd_span(fd, "write")
+        region = self._fd_region(fd, "write")
         try:
             offset = desc.offset
             yield from desc.gnode.fs.write(desc.gnode, offset, data)
             desc.offset += len(data)
         finally:
-            self._fd_span_end(span)
+            if region is not None:
+                self.sim.probe.region_end(region)
         if self.tracer is not None:
             self.tracer.on_write(
                 self.host.name, fd, offset, bytes(data), self.sim.now

@@ -33,7 +33,7 @@ from typing import Dict, Hashable, Optional
 from ..fs.types import FileHandle
 from ..host import Host
 from ..net import RpcError
-from ..proto import RemoteFsServer, ServerRecovering, proc_namespace
+from ..proto import RemoteFsServer, proc_namespace
 from ..vfs import LocalMount
 
 __all__ = ["LeaseServer", "LPROC", "DEFAULT_LEASE_TERM", "DEFAULT_WRITE_SLACK"]
@@ -122,9 +122,9 @@ class LeaseServer(RemoteFsServer):
         # lets pre-crash write-lease holders land their delayed data
         # before anyone else can open the files
         self._recovering_until = self.sim.now + self.lease_term + self.write_slack
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "lease.recovery", cat="lease", track=self.host.name,
+        if self.sim.probe is not None:
+            self.sim.probe.mark(
+                "lease.recovery", "lease", self.host.name,
                 epoch=self.boot_epoch, until=self._recovering_until,
             )
 
@@ -138,14 +138,7 @@ class LeaseServer(RemoteFsServer):
         misses, while nobody new can acquire a conflicting claim.
         """
         if self.in_recovery:
-            if self.sim.metrics is not None:
-                self.sim.metrics.counter("recovery.rejections").inc(
-                    server=self.host.name, proto="lease"
-                )
-            raise ServerRecovering(
-                self.boot_epoch,
-                retry_after=self._recovering_until - self.sim.now,
-            )
+            raise self._recovering(self._recovering_until - self.sim.now)
 
     def _entry(self, key: Hashable) -> _LeaseEntry:
         entry = self._leases.get(key)

@@ -1,16 +1,14 @@
-"""Measurement infrastructure: counters, utilization sampling, reports."""
+"""Measurement infrastructure: tallies, utilization sampling, reports."""
 
-from .counters import Counters, CountersTimestampWarning
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Counter, Histogram, MetricsRegistry
 from .report import format_series_table, format_strip_chart, format_table, series_to_csv
+from .tally import Tally
 from .timeseries import TimeSeries, UtilizationSampler
 
 __all__ = [
-    "Counters",
-    "CountersTimestampWarning",
+    "Tally",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "TimeSeries",
     "UtilizationSampler",

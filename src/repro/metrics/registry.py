@@ -1,12 +1,11 @@
 """A unified registry of named, labeled instruments.
 
-The older measurement layer grew one ad-hoc :class:`Counters` object
-per component (``endpoint.client_stats``, ``disk.stats`` ...), and
-experiments hand-merged their dicts to build tables.  The registry
-gives the stack one namespace of instruments:
+Each component keeps its own always-on :class:`~repro.metrics.Tally`
+(``endpoint.client_stats``, ``disk.stats`` ...) — the paper's tables.
+The registry is the optional second namespace, fed through
+``sim.probe``, for what those flat counts cannot slice:
 
 * :class:`Counter` — monotonically increasing count (``rpc.retrans``);
-* :class:`Gauge` — last-set value (``cache.dirty_buffers``);
 * :class:`Histogram` — bucketed distribution (``rpc.latency``).
 
 Each instrument keys its values by a **label set** (sorted key/value
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["MetricsRegistry", "Counter", "Gauge", "Histogram"]
+__all__ = ["MetricsRegistry", "Counter", "Histogram"]
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -64,29 +63,6 @@ class Counter(_Instrument):
 
     def total(self) -> float:
         return sum(self._values.values())
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {_label_str(k): v for k, v in sorted(self._values.items())}
-
-
-class Gauge(_Instrument):
-    """Last-written value per label set."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._values: Dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels) -> None:
-        self._values[_label_key(labels)] = value
-
-    def add(self, delta: float, **labels) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + delta
-
-    def get(self, **labels) -> float:
-        return self._values.get(_label_key(labels), 0)
 
     def as_dict(self) -> Dict[str, Any]:
         return {_label_str(k): v for k, v in sorted(self._values.items())}
@@ -174,9 +150,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, lambda: Counter(name), "counter")
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, lambda: Gauge(name), "gauge")
 
     def histogram(
         self, name: str, buckets: Optional[Tuple[float, ...]] = None

@@ -167,7 +167,6 @@ def run_cell(protocol: str, workload: str, plan: str, seed: int) -> NemesisCell:
             events = plan_events(
                 row.schedule, server="server%d" % row.crashed_shard
             )
-        metrics = bed.sim.enable_metrics()
         bed.injector.trace = True
         bed.injector.install(FaultPlan(events=events, seed=cseed))
         epochs = bed.boot_epochs()
@@ -181,7 +180,7 @@ def run_cell(protocol: str, workload: str, plan: str, seed: int) -> NemesisCell:
 
     cell.violations = bed.oracle.summary()
     cell.fault_events = len(bed.injector.log)
-    cell.recovery_rejections = metrics.counter("recovery.rejections").total()
+    cell.recovery_rejections = sum(s.recovery_rejections for s in bed.servers)
     if row is not None:
         cell.error = row.judge_epochs(cell.stats, epochs, bed.boot_epochs())
     if cell.error is None and not cell.violations:

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..metrics import Counters
+from ..metrics import Tally
 from ..sim import Simulator, Store, Resource
 
 __all__ = ["NetworkConfig", "Network", "Interface", "Packet", "NetworkError"]
@@ -60,13 +60,13 @@ class Packet:
     payload: Any
     size: int
 
-
-def _payload_kind(payload: Any) -> str:
-    """Short label for a packet's payload ("call:nfs.read", "raw")."""
-    proc = getattr(payload, "proc", None)
-    if proc is not None:
-        return ("reply:" if getattr(payload, "is_reply", False) else "call:") + proc
-    return "raw"
+    @property
+    def kind(self) -> str:
+        """Short label for the payload ("call:nfs.read", "raw")."""
+        proc = getattr(self.payload, "proc", None)
+        if proc is not None:
+            return ("reply:" if getattr(self.payload, "is_reply", False) else "call:") + proc
+        return "raw"
 
 
 class Interface:
@@ -112,20 +112,11 @@ class Interface:
         self.network._transmit(Packet(self.address, dst, port, payload, size))
 
     def _deliver(self, packet: Packet) -> None:
-        tracer = self.sim.tracer
         if not self.up:
-            if tracer is not None:
-                tracer.instant(
-                    "net.drop", cat="net", track="net", reason="host-down",
-                    src=packet.src, dst=packet.dst, kind=_payload_kind(packet.payload),
-                )
+            self.network._drop_event(packet, "host-down")
             return  # host is down: packet lost
-        if tracer is not None:
-            tracer.instant(
-                "net.recv", cat="net", track="net",
-                src=packet.src, dst=packet.dst, size=packet.size,
-                kind=_payload_kind(packet.payload),
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.packet("recv", packet, size=packet.size)
         receive = self._ports.get(packet.port)
         if receive is not None:
             receive(packet)
@@ -147,7 +138,7 @@ class Network:
         self.sim = sim
         self.config = config or NetworkConfig()
         self.interfaces: Dict[str, Interface] = {}
-        self.stats = Counters()
+        self.stats = Tally()
         self._rng = random.Random(self.config.seed)
         self._trace: "deque" = deque(maxlen=self.config.trace_packets or None)
         # fault-injection state (see repro.faults): refcounted directed
@@ -201,7 +192,7 @@ class Network:
 
     def _record_trace(self, packet: Packet) -> None:
         self._trace.append(
-            (self.sim.now, packet.src, packet.dst, _payload_kind(packet.payload), packet.size)
+            (self.sim.now, packet.src, packet.dst, packet.kind, packet.size)
         )
 
     def attach(self, address: str) -> Interface:
@@ -212,19 +203,16 @@ class Network:
         return iface
 
     def _drop_event(self, packet: Packet, reason: str) -> None:
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "net.drop", cat="net", track="net", reason=reason,
-                src=packet.src, dst=packet.dst, kind=_payload_kind(packet.payload),
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.packet("drop", packet, reason=reason)
 
     def _transmit(self, packet: Packet) -> None:
-        self.stats.record("packets")
-        self.stats.record("bytes", n=packet.size)
+        self.stats["packets"] += 1
+        self.stats["bytes"] += packet.size
         if self.config.trace_packets:
             self._record_trace(packet)
         if self._blocked and (packet.src, packet.dst) in self._blocked:
-            self.stats.record("partitioned")
+            self.stats["partitioned"] += 1
             self._drop_event(packet, "partitioned")
             return
         # the RNG is drawn iff the combined rate is positive — the same
@@ -232,20 +220,16 @@ class Network:
         # identically whether or not loss is configured
         raw_rate = self.config.drop_rate + self.extra_drop
         if raw_rate > 0 and self._rng.random() < min(1.0, raw_rate):
-            self.stats.record("dropped")
+            self.stats["dropped"] += 1
             self._drop_event(packet, "loss")
             return
         dst = self.interfaces.get(packet.dst)
         if dst is None:
-            self.stats.record("unroutable")
+            self.stats["unroutable"] += 1
             self._drop_event(packet, "unroutable")
             return
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "net.xmit", cat="net", track="net",
-                src=packet.src, dst=packet.dst, size=packet.size,
-                kind=_payload_kind(packet.payload),
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.packet("xmit", packet, size=packet.size)
         self.sim._schedule_at(
             self.sim.now + self.config.latency + self.extra_latency,
             dst._deliver,

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-from ..metrics import Counters
+from ..metrics import Tally
 from ..sim import Event, Resource, Simulator
 from .network import Interface, Network, Packet
 
@@ -42,14 +42,6 @@ __all__ = [
 RPC_PORT = 2049
 
 _HEADER_BYTES = 160  # UDP + IP + RPC + auth overhead, roughly
-
-#: rpc.latency histogram buckets — the registry default starts at 1 ms,
-#: above many LAN round trips, so sub-ms calls all piled into one bucket
-RPC_LATENCY_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
-
 
 class RpcError(Exception):
     """Base class for RPC-layer failures."""
@@ -164,8 +156,7 @@ class _Call:
     #: so the server-side handler joins the caller's causal tree; not
     #: counted in estimate_size (metadata, not payload)
     ctx: Optional[tuple] = None
-    #: repro.obs server phase tuple (queue, cpu, disk, other, wall)
-    #: piggybacked on the reply so the client can attribute server time;
+    #: what probe.serve_end returned, for the caller's probe.reply;
     #: metadata like ctx, not counted in estimate_size
     srv_phases: Optional[tuple] = None
 
@@ -251,8 +242,10 @@ class RpcEndpoint:
         )
         self.threads.obs_kind = "threads"
         # client_stats: calls issued from here; server_stats: calls served here
-        self.client_stats = Counters(keep_times=keep_call_times, sim=sim)
-        self.server_stats = Counters(keep_times=keep_call_times, sim=sim)
+        self.client_stats = Tally()
+        self.server_stats = Tally()
+        #: (time, proc) per request executed here, in order (figures 5-1/5-2)
+        self.call_log: Optional[list] = [] if keep_call_times else None
         # observers called once per *executed* (not duplicate-cached)
         # request, after its handler completes:
         #   listener(proc, src, args, result, error, now)
@@ -289,48 +282,26 @@ class RpcEndpoint:
                 name="serve:%s:%s" % (self.address, msg.proc),
             )
 
-    def _note_duplicate(self, msg: _Call, kind: str) -> None:
-        """A retransmission hit the duplicate cache (``kind`` is "busy"
-        for a still-executing original, "done" for a cached reply)."""
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "rpc.dup_hit", cat="rpc", track=self.address,
-                proc=msg.proc, src=msg.src, kind=kind,
-            )
-        if self.sim.metrics is not None:
-            self.sim.metrics.counter("rpc.dup_hits").inc(
-                proc=msg.proc, endpoint=self.address, kind=kind
-            )
-
     def _serve(self, msg: _Call, epoch: int):
         if epoch != self.boot_epoch:
             return  # crashed in the instant the request arrived
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # join the caller's causal tree before recording anything
-            tracer.adopt(msg.ctx)
+        probe = self.sim.probe
         key = (msg.src, msg.xid)
         try:
             cached = self._dup_cache.begin(key)
         except _Busy:
-            self._note_duplicate(msg, "busy")
+            if probe is not None:
+                probe.dup_hit(self.address, msg.proc, msg.src, "busy", msg.ctx)
             return  # retransmission of an executing request: drop it
         if cached is not None:
-            self._note_duplicate(msg, "done")
+            if probe is not None:
+                probe.dup_hit(self.address, msg.proc, msg.src, "done", msg.ctx)
             yield from self._send_reply(msg.src, cached)
             return
 
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "rpc.serve:%s" % msg.proc, cat="rpc", track=self.address, src=msg.src
-            )
-        obs = self.sim.obs
-        frame = None
-        if obs is not None:
-            # opened before thread-pool admission so queue-wait counts;
-            # closed before the reply is sent so transit stays net time
-            frame = obs.frame_begin("server")
+        token = None
+        if probe is not None:
+            token = probe.serve_begin(self.address, msg.proc, msg.src, msg.ctx)
         handler = self._handlers.get(msg.proc)
         reply = _Call(xid=msg.xid, src=self.address, proc=msg.proc, is_reply=True)
         try:
@@ -342,9 +313,11 @@ class RpcEndpoint:
                 try:
                     if self.cpu is not None and self.config.cpu_per_call > 0:
                         yield from self.cpu.consume(self.config.cpu_per_call)
-                    self.server_stats.record(msg.proc, t=self.sim.now)
-                    if obs is not None:
-                        obs.note_request(msg.proc, msg.src)
+                    self.server_stats[msg.proc] += 1
+                    if self.call_log is not None:
+                        self.call_log.append((self.sim.now, msg.proc))
+                    if token is not None:
+                        probe.serve_execute(msg.proc, msg.src)
                     reply.result = yield from handler(msg.src, *msg.args)
                 except GeneratorExit:
                     raise  # service process torn down, not a handler error
@@ -362,35 +335,19 @@ class RpcEndpoint:
                     # re-executed — silently breaking at-least-once
                     # semantics.  The request was never acknowledged,
                     # so observers must not see it either.
-                    if frame is not None:
-                        obs.frame_abort(frame)
-                        frame = None
                     return
                 for listener in self.serve_listeners:
                     listener(
                         msg.proc, msg.src, msg.args, reply.result, reply.error, self.sim.now
                     )
-            if frame is not None:
-                # piggyback the server's phase split on the reply (the
-                # duplicate cache retains it, so replayed replies carry
-                # the original execution's attribution)
-                reply.srv_phases = obs.close_server_frame(frame)
-                frame = None
-            sanitizer = self.sim.sanitizer
-            if sanitizer is not None and key in self._dup_cache._done:
-                sanitizer.on_rpc_double_reply(
-                    self.address, key, self._dup_cache._done[key], reply
-                )
+            if token is not None:
+                reply.srv_phases = probe.serve_end(token)
+                probe.dup_record(self.address, key, self._dup_cache._done.get(key), reply)
             self._dup_cache.finish(key, reply)
             yield from self._send_reply(msg.src, reply)
         finally:
-            if frame is not None:  # teardown mid-serve: drop, don't record
-                obs.frame_abort(frame)
-            if span is not None and span.t1 is None:
-                if reply.error is not None:
-                    tracer.end(span, error=type(reply.error).__name__)
-                else:
-                    tracer.end(span)
+            if token is not None:
+                probe.serve_exit(token, reply.error)
 
     def _send_reply(self, dst: str, reply: _Call):
         size = _HEADER_BYTES + estimate_size(reply.result)
@@ -415,108 +372,61 @@ class RpcEndpoint:
         forever (backoff capped at 30 s) — an NFS client never gives up
         on its server.
         """
-        tracer, metrics = self.sim.tracer, self.sim.metrics
-        obs = self.sim.obs
-        if tracer is None and metrics is None and obs is None:
-            return (yield from self._call_inner(
-                dst, proc, args, timeout, max_retries, hard, None
-            ))
-        span = None
-        ctx = None
-        frame = None
-        if tracer is not None:
-            span = tracer.begin(
-                "rpc.call:%s" % proc, cat="rpc", track=self.address, dst=dst
-            )
-            ctx = tracer.context_of(span)
-        if obs is not None:
-            frame = obs.frame_begin("client")
-        t_start = self.sim.now
-        try:
-            result = yield from self._call_inner(
-                dst, proc, args, timeout, max_retries, hard, ctx
-            )
-        except BaseException as exc:
-            if span is not None:
-                tracer.end(span, error=type(exc).__name__)
-            if frame is not None:
-                obs.record_client_failure(proc, frame)
-            raise
-        if span is not None:
-            tracer.end(span)
-        if frame is not None:
-            obs.record_client_op(proc, frame, server=dst)
-        if metrics is not None:
-            metrics.histogram("rpc.latency", buckets=RPC_LATENCY_BUCKETS).observe(
-                self.sim.now - t_start, proc=proc, endpoint=self.address,
-                server=dst,
-            )
-        return result
-
-    def _call_inner(
-        self,
-        dst: str,
-        proc: str,
-        args: tuple,
-        timeout: Optional[float],
-        max_retries: Optional[int],
-        hard: bool,
-        ctx: Optional[tuple],
-    ):
+        probe = self.sim.probe
+        token = ctx = None
+        if probe is not None:
+            token, ctx = probe.call_begin(self.address, dst, proc)
         xid = next(self._xids)
         msg = _Call(xid=xid, src=self.address, proc=proc, args=args, ctx=ctx)
         size = _HEADER_BYTES + estimate_size(args)
         wait = self.config.timeout if timeout is None else timeout
-        self.client_stats.record(proc, t=self.sim.now)
+        self.client_stats[proc] += 1
 
         retries = self.config.max_retries if max_retries is None else max_retries
         attempts = 1 << 62 if hard else retries + 1
         attempt = -1
-        while (attempt := attempt + 1) < attempts:
-            if self.cpu is not None and self.config.cpu_per_call > 0:
-                yield from self.cpu.consume(self.config.cpu_per_call)
-            # One event serves both outcomes per attempt: _on_packet
-            # succeeds it with the reply _Call; a bare cancellable timer
-            # (no Timeout event, no AnyOf condition) succeeds it with the
-            # _TIMED_OUT sentinel.  Whichever fires first wins; the
-            # loser is cancelled or sees the event already triggered.
-            reply_ev = Event(self.sim, "rpc-reply")
-            self._pending[xid] = reply_ev
-            yield from self.iface.send(dst, self.port, msg, size)
-            timer = self.sim.after(wait, self._expire, reply_ev)
-            reply = yield reply_ev
-            if reply is not _TIMED_OUT:
-                timer.cancel()
-                obs = self.sim.obs
-                if obs is not None and reply.srv_phases is not None:
-                    obs.attach_server_phases(reply.srv_phases)
+        try:
+            while (attempt := attempt + 1) < attempts:
                 if self.cpu is not None and self.config.cpu_per_call > 0:
                     yield from self.cpu.consume(self.config.cpu_per_call)
-                if reply.error is not None:
-                    raise reply.error
-                return reply.result
-            # timed out: forget this attempt's waiter, back off, resend
-            self._pending.pop(xid, None)  # lint: ok=ATOM002 — xids are unique per attempt; each in-flight call owns its own _pending slot
-            if self.sim.obs is not None:
-                # the retransmit timer ran its full course: that window
-                # (send-complete to timer fire) was pure waiting
-                self.sim.obs.add("retrans.wait", wait)  # lint: ok=ATOM001 — obs.add is a pure accumulator; contributions from interleaved calls commute
-            wait = min(wait * self.config.backoff, 30.0)
-            if attempt + 1 < attempts:
-                self.client_stats.record("%s.retransmit" % proc, t=self.sim.now)
-                if self.sim.tracer is not None:
-                    self.sim.tracer.instant(
-                        "rpc.retransmit", cat="rpc", track=self.address,
-                        proc=proc, attempt=attempt + 1,
-                    )
-                if self.sim.metrics is not None:
-                    self.sim.metrics.counter("rpc.retrans").inc(
-                        proc=proc, endpoint=self.address
-                    )
-        raise RpcTimeout(
-            "%s -> %s %s: no reply after %d attempts"
-            % (self.address, dst, proc, attempts)
-        )
+                # One event serves both outcomes per attempt: _on_packet
+                # succeeds it with the reply _Call; a bare cancellable timer
+                # (no Timeout event, no AnyOf condition) succeeds it with the
+                # _TIMED_OUT sentinel.  Whichever fires first wins; the
+                # loser is cancelled or sees the event already triggered.
+                reply_ev = Event(self.sim, "rpc-reply")
+                self._pending[xid] = reply_ev
+                yield from self.iface.send(dst, self.port, msg, size)
+                timer = self.sim.after(wait, self._expire, reply_ev)
+                reply = yield reply_ev
+                if reply is not _TIMED_OUT:
+                    timer.cancel()
+                    if token is not None:
+                        probe.reply(reply.srv_phases)
+                    if self.cpu is not None and self.config.cpu_per_call > 0:
+                        yield from self.cpu.consume(self.config.cpu_per_call)
+                    if reply.error is not None:
+                        raise reply.error
+                    if token is not None:
+                        probe.call_end(token)
+                    return reply.result
+                # timed out: forget this attempt's waiter, back off, resend
+                self._pending.pop(xid, None)  # lint: ok=ATOM002 — xids are unique per attempt; each in-flight call owns its own _pending slot
+                if token is not None:
+                    probe.spent("retrans.wait", wait)
+                wait = min(wait * self.config.backoff, 30.0)
+                if attempt + 1 < attempts:
+                    self.client_stats["%s.retransmit" % proc] += 1  # lint: ok=ATOM001 — a tally bump reads and writes in one step; nothing read before the yield is written back
+                    if token is not None:
+                        probe.retransmit(self.address, proc, attempt + 1)
+            raise RpcTimeout(
+                "%s -> %s %s: no reply after %d attempts"
+                % (self.address, dst, proc, attempts)
+            )
+        except BaseException as exc:
+            if token is not None:
+                probe.call_end(token, exc)
+            raise
 
     @staticmethod
     def _expire(reply_ev: Event) -> None:

@@ -5,9 +5,9 @@ into phases (client CPU, network transit, retransmit wait, server
 queue-wait, server CPU, disk) and exports a schema-versioned
 ``repro-obs/1`` artifact that ``python -m repro report`` renders and
 diffs across runs.  Enable per-simulator with ``sim.enable_obs()`` or
-globally with ``REPRO_OBS=1``; with the default ``sim.obs = None`` every
-hook is a single attribute test and runs are bit-identical to
-un-instrumented ones.
+globally with ``REPRO_OBS=1``.  Model code reaches the collector (and
+the other observers) only through :mod:`repro.obs.probe`; runs are
+bit-identical to un-instrumented ones.
 """
 
 from .collector import PHASES, ObsCollector

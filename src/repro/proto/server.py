@@ -32,6 +32,7 @@ from ..fs import NoSuchFile, StaleHandle
 from ..fs.types import FileAttr, FileHandle
 from ..sim import Lock
 from ..vfs import Gnode, LocalMount
+from .recovery import ServerRecovering
 
 __all__ = ["RemoteFsServer"]
 
@@ -51,6 +52,8 @@ class RemoteFsServer:
         self._file_locks: Dict[Hashable, Lock] = {}
         #: attribute-version counter for version-stamping subclasses
         self._versions = itertools.count(1)
+        #: requests refused while recovering; always on (nemesis reads it)
+        self.recovery_rejections = 0
         self._register()
         # crash/reboot notifications (stateful servers clear and
         # rebuild their tables; the stateless core has nothing to do)
@@ -79,7 +82,15 @@ class RemoteFsServer:
 
     def _check_available(self, src: str) -> None:
         """Hook: reject calls while unavailable (recovering servers
-        raise :class:`~repro.proto.recovery.ServerRecovering` here)."""
+        raise :meth:`_recovering` here)."""
+
+    def _recovering(self, retry_after: float) -> ServerRecovering:
+        """Count one refused request; returns the rejection to raise."""
+        self.recovery_rejections += 1
+        if self.sim.probe is not None:
+            proto = self.PROC.PREFIX.rstrip(".")
+            self.sim.probe.count("recovery.rejections", server=self.host.name, proto=proto)
+        return ServerRecovering(self.boot_epoch, retry_after=retry_after)
 
     # -- host lifecycle: server-crash semantics ----------------------------
 
@@ -166,10 +177,10 @@ class RemoteFsServer:
         self._check_available(src)
         g = self._gnode(fh)
         data = yield from self.export.read(g, offset, count)
-        if self.sim.obs is not None:
+        if self.sim.probe is not None:
             # hot-file accounting (Fletch's traffic-skew lens): which
             # files carry the read/write byte volume
-            self.sim.obs.tag_file(self._hot_key(fh), read_bytes=len(data))
+            self.sim.probe.tag_file(self._hot_key(fh), read_bytes=len(data))
         return data, self.lfs._attr(g.fid)
 
     def proc_write(self, src, fh: FileHandle, offset: int, data: bytes):
@@ -179,8 +190,8 @@ class RemoteFsServer:
         try:
             yield from self.export.write(g, offset, data)
             yield from self.export.fsync(g)  # stable storage, synchronously
-            if self.sim.obs is not None:
-                self.sim.obs.tag_file(self._hot_key(fh), write_bytes=len(data))
+            if self.sim.probe is not None:
+                self.sim.probe.tag_file(self._hot_key(fh), write_bytes=len(data))
             return self.lfs._attr(g.fid)
         except NoSuchFile:
             # the file was removed while this write was in flight

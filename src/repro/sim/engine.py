@@ -347,14 +347,15 @@ class Simulator:
         #: An insertion-ordered dict keyed by identity: O(1) discard in
         #: _dispatch, deterministic iteration in _surface_unhandled.
         self._unhandled_failures: dict = {}
-        #: runtime race/leak sanitizer (repro.analysis); None disables
-        self.sanitizer = None
-        #: causal tracer (repro.trace); None disables all instrumentation
-        self.tracer = None
-        #: unified metrics registry (repro.metrics); None disables
-        self.metrics = None
-        #: latency-attribution collector (repro.obs); None disables
-        self.obs = None
+        #: the observers' read surfaces, for tests and harnesses; None is
+        #: off.  Model code reports through ``probe`` instead — except this
+        #: module's Event-lifecycle sanitizer hooks (see repro.obs.probe)
+        self.sanitizer = None  # runtime race/leak sanitizer (repro.analysis)
+        self.tracer = None  # causal tracer (repro.trace)
+        self.metrics = None  # unified metrics registry (repro.metrics)
+        self.obs = None  # latency-attribution collector (repro.obs)
+        #: the one instrumentation seam: None until the first enable_*()
+        self.probe = None
         sanitize = os.environ.get("REPRO_SANITIZE", "")
         if sanitize not in ("", "0"):
             # "nonstrict"/"collect": record findings without raising —
@@ -368,24 +369,29 @@ class Simulator:
         if os.environ.get("REPRO_OBS", "") not in ("", "0"):
             self.enable_obs()
 
+    def _attach(self, field: str, observer):
+        """Publish ``observer`` on its read surface and on the probe."""
+        from ..obs.probe import Probe
+
+        if self.probe is None:
+            self.probe = Probe(self)
+        setattr(self, field, observer)
+        setattr(self.probe, field, observer)
+        return observer
+
     def enable_sanitizer(self, strict: bool = True):
         """Attach a :class:`repro.analysis.Sanitizer` to this simulator."""
         from ..analysis.sanitizer import Sanitizer
 
-        self.sanitizer = Sanitizer(self, strict=strict)
-        return self.sanitizer
+        return self._attach("sanitizer", Sanitizer(self, strict=strict))
 
     def enable_tracer(self, trace_resumes: bool = False):
-        """Attach a :class:`repro.trace.Tracer` to this simulator.
-
-        Every instrumented layer (rpc, network, cache, disk, cpu, snfs
-        state table) starts recording into it; with the default
-        ``tracer = None`` those hooks are single attribute tests.
-        """
+        """Attach a :class:`repro.trace.Tracer` to this simulator."""
         from ..trace import Tracer
 
         if self.tracer is None:
-            self.tracer = Tracer(self, trace_resumes=trace_resumes)
+            self._attach("tracer", Tracer(self, trace_resumes=trace_resumes))
+            self.probe.trace_resumes = trace_resumes
         return self.tracer
 
     def enable_metrics(self):
@@ -393,7 +399,7 @@ class Simulator:
         from ..metrics.registry import MetricsRegistry
 
         if self.metrics is None:
-            self.metrics = MetricsRegistry(self)
+            self._attach("metrics", MetricsRegistry(self))
         return self.metrics
 
     def enable_obs(self):
@@ -408,7 +414,7 @@ class Simulator:
 
         self.enable_metrics()
         if self.obs is None:
-            self.obs = ObsCollector(self)
+            self._attach("obs", ObsCollector(self))
         return self.obs
 
     # -- low-level scheduling ----------------------------------------------

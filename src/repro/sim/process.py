@@ -73,10 +73,8 @@ class Process(Event):
         #: stack of open repro.obs frames (operations in flight in this
         #: process); lazily created by the collector, None when obs is off
         self.obs_frames = None
-        if sim.tracer is not None:
-            sim.tracer.instant(
-                "proc.spawn", cat="sim", track="sim", child=self.name
-            )
+        if sim.probe is not None:
+            sim.probe.mark("proc.spawn", "sim", "sim", child=self.name)
         sim.call_soon(self._resume, None)
 
     # -- lifecycle ----------------------------------------------------------
@@ -125,9 +123,9 @@ class Process(Event):
         sim = self.sim
         prev = sim.current_process
         sim.current_process = self
-        tracer = sim.tracer
-        if tracer is not None and tracer.trace_resumes:
-            tracer.instant("proc.resume", cat="sim", track="sim")
+        probe = sim.probe
+        if probe is not None and probe.trace_resumes:
+            probe.mark("proc.resume", "sim", "sim")
         try:
             try:
                 if event is None:  # first slice, or the end of a sleep
@@ -212,14 +210,12 @@ class Process(Event):
 
     def _finish_ok(self, value: Any) -> None:
         self._gen.close()
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant("proc.finish", cat="sim", track="sim")
+        if self.sim.probe is not None:
+            self.sim.probe.mark("proc.finish", "sim", "sim")
         self.succeed(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "proc.fail", cat="sim", track="sim", error=type(exc).__name__
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.mark("proc.fail", "sim", "sim", error=type(exc).__name__)
         self._exception = exc
         self.sim._trigger(self)

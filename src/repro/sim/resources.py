@@ -78,9 +78,8 @@ class Resource:
         self._waiters.append(ev)
         # queue-wait attribution must stamp the *waiter's* frame now:
         # the grant later runs in the releasing process's context
-        obs = self.sim.obs
-        if obs is not None and self.obs_kind is not None:
-            obs.wait_begin(self, ev)
+        if self.sim.probe is not None:
+            self.sim.probe.wait_begin(self, ev)
         return ev
 
     def try_acquire(self) -> bool:
@@ -98,15 +97,13 @@ class Resource:
         waiters = self._waiters
         while waiters:  # contended: not the hot path
             waiter = waiters.popleft()
-            obs = self.sim.obs if self.obs_kind is not None else None
-            if waiter.callbacks:
+            granted = bool(waiter.callbacks)  # else abandoned: granted, it would leak
+            if self.sim.probe is not None:
+                self.sim.probe.wait_end(self, waiter, granted)
+            if granted:
                 # handed straight over: the unit is never free in between
-                if obs is not None:
-                    obs.wait_end(self, waiter)
                 waiter.succeed(self)
                 return
-            if obs is not None:  # abandoned: granted, it would leak
-                obs.wait_abandoned(waiter)
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim.now - self._busy_since

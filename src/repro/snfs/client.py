@@ -131,18 +131,15 @@ class SnfsPolicy(ConsistencyPolicy):
         if g is None:
             return None  # nothing known about this file
         if writeback:
-            tracer = c.sim.tracer
+            probe = c.sim.probe
             span = None
-            if tracer is not None:
-                span = tracer.begin(
-                    "snfs.writeback", cat="snfs", track=c.host.name,
-                    file=str(fh.key()),
-                )
+            if probe is not None:
+                span = probe.span_begin("snfs.writeback", "snfs", c.host.name, file=str(fh.key()))
             try:
                 yield from c._flush_dirty(g)
             finally:
                 if span is not None:
-                    tracer.end(span)
+                    probe.span_end(span)
         if invalidate:
             c.cache.invalidate_file(g.cache_key)
             g.private["cache_enabled"] = False

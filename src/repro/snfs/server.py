@@ -30,7 +30,7 @@ from ..proto import RemoteFsServer
 from ..sim import Interrupt, Resource
 from ..vfs import LocalMount
 from .protocol import SPROC
-from .recovery import DEFAULT_GRACE_PERIOD, ServerRecovering
+from .recovery import DEFAULT_GRACE_PERIOD
 from .state_table import Callback, FileState, StateTable, StateTableFull
 
 __all__ = ["SnfsServer", "OpenReply"]
@@ -103,16 +103,8 @@ class SnfsServer(RemoteFsServer):
             self.start_keepalive()
 
     def _observe_table(self, event, key, client, before, after) -> None:
-        sanitizer = self.sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.note_write("snfs-state", key, what=event)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                "snfs.transition", cat="snfs", track=self.host.name,
-                event=event, file=repr(key), client=client,
-                before=before.value, after=after.value,
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.table_transition(self.host.name, event, key, client, before, after)
 
     def _register(self) -> None:
         super()._register()
@@ -136,23 +128,13 @@ class SnfsServer(RemoteFsServer):
         window closes.
         """
         if self.in_recovery:
-            if self.sim.metrics is not None:
-                self.sim.metrics.counter("recovery.rejections").inc(
-                    server=self.host.name, proto="snfs"
-                )
-            raise ServerRecovering(
-                self.boot_epoch, retry_after=self._recovery_until - self.sim.now
-            )
+            raise self._recovering(self._recovery_until - self.sim.now)
         # after the grace period, a client we have never heard from this
         # epoch must still reassert before touching state: its claims
         # are validated individually (and possibly rejected) rather
         # than silently accepted against the rebuilt table
         if self.boot_epoch > 1 and src not in self._reasserted:
-            if self.sim.metrics is not None:
-                self.sim.metrics.counter("recovery.rejections").inc(
-                    server=self.host.name, proto="snfs"
-                )
-            raise ServerRecovering(self.boot_epoch, retry_after=0.0)
+            raise self._recovering(0.0)
 
     def proc_ping(self, src):
         """Keepalive: returns the boot epoch so clients detect reboots."""
@@ -200,10 +182,11 @@ class SnfsServer(RemoteFsServer):
                 )
             finally:
                 lock.release()
-        if self.sim.metrics is not None and src not in self._reasserted:
+        if self.sim.probe is not None and src not in self._reasserted:
             # recovery time as the clients experience it: how long
             # after the reboot each client got its state reasserted
-            self.sim.metrics.histogram("recovery.reassert_delay").observe(
+            self.sim.probe.observe(
+                "recovery.reassert_delay",
                 self.sim.now - (self._recovery_until - self.grace_period),
                 server=self.host.name, proto="snfs",
             )
@@ -347,22 +330,17 @@ class SnfsServer(RemoteFsServer):
 
     # -- open / close services --------------------------------------------
 
-    def _state_span(self, key: Hashable, label: str):
-        sanitizer = self.sim.sanitizer
-        if sanitizer is None:
+    def _state_region(self, key: Hashable, label: str):
+        if self.sim.probe is None:
             return None
-        return sanitizer.begin("snfs-state", key, label)
-
-    def _state_span_end(self, span) -> None:
-        if span is not None:
-            self.sim.sanitizer.end(span)
+        return self.sim.probe.region_begin("snfs-state", key, label, wrote=False)
 
     def proc_open(self, src, fh: FileHandle, write: bool):
         """The SNFS open RPC (§3.1)."""
         self._check_available(src)
         inum = self.lfs.resolve(fh)  # raises StaleHandle for dead handles
         key = fh.key()
-        span = self._state_span(key, "open:%s" % src)
+        region = self._state_region(key, "open:%s" % src)
         try:
             lock = self._lock_for(key)
             yield lock.acquire()
@@ -380,7 +358,8 @@ class SnfsServer(RemoteFsServer):
             finally:
                 lock.release()
         finally:
-            self._state_span_end(span)
+            if region is not None:
+                self.sim.probe.region_end(region)
 
     def _open_locked(self, key, src, write):
         while True:
@@ -394,10 +373,8 @@ class SnfsServer(RemoteFsServer):
     def _reclaim_entries(self, want: int = 8):
         """Free CLOSED_DIRTY entries by calling back their last writers."""
         pairs = self.state.reclaim_callbacks(want=want)
-        if pairs and self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "snfs.reclaim", cat="snfs", track=self.host.name, entries=len(pairs)
-            )
+        if pairs and self.sim.probe is not None:
+            self.sim.probe.mark("snfs.reclaim", "snfs", self.host.name, entries=len(pairs))
         dropped = 0
         for key, cb in pairs:
             fh = self._fh_for_key(key)
@@ -428,7 +405,7 @@ class SnfsServer(RemoteFsServer):
         manager' (§4.3.1)."""
         self._check_available(src)
         key = fh.key()
-        span = self._state_span(key, "close:%s" % src)
+        region = self._state_region(key, "close:%s" % src)
         try:
             lock = self._lock_for(key)
             yield lock.acquire()
@@ -437,7 +414,8 @@ class SnfsServer(RemoteFsServer):
             finally:
                 lock.release()
         finally:
-            self._state_span_end(span)
+            if region is not None:
+                self.sim.probe.region_end(region)
         return None
 
     # -- callbacks ---------------------------------------------------------
@@ -455,11 +433,11 @@ class SnfsServer(RemoteFsServer):
     def _callback(self, fh: FileHandle, cb: Callback):
         """One server->client callback RPC, honouring the N-1 rule."""
         yield self._callback_slots.acquire()
-        tracer = self.sim.tracer
+        probe = self.sim.probe
         span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "snfs.callback", cat="snfs", track=self.host.name,
+        if probe is not None:
+            span = probe.span_begin(
+                "snfs.callback", "snfs", self.host.name,
                 client=cb.client, writeback=cb.writeback, invalidate=cb.invalidate,
             )
         try:
@@ -476,16 +454,13 @@ class SnfsServer(RemoteFsServer):
         except (RpcTimeout, RpcError):
             # the client is down: honour the open anyway (§3.2); its
             # claim on the file is forgotten
-            if tracer is not None:
-                tracer.instant(
-                    "snfs.callback.dead", cat="snfs", track=self.host.name,
-                    client=cb.client,
-                )
+            if probe is not None:
+                probe.mark("snfs.callback.dead", "snfs", self.host.name, client=cb.client)
             self.state.drop_client(fh.key(), cb.client)
             return False
         finally:
             if span is not None:
-                tracer.end(span)
+                probe.span_end(span)
             self._callback_slots.release()
 
     # -- consistent directory caching (§7 extension) -----------------------

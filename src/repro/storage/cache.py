@@ -31,7 +31,7 @@ from collections import OrderedDict
 from operator import attrgetter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from ..metrics import Counters
+from ..metrics import Tally
 from ..sim import Simulator
 
 __all__ = ["BufferCache", "Buffer", "CacheError"]
@@ -96,19 +96,12 @@ class BufferCache:
         #: the buffers in _buffers whose dirty flag is set (busy or not)
         self._dirty: Dict[BlockKey, Buffer] = {}
         self._ticks = itertools.count(1)
-        self.stats = Counters()
+        self.stats = Tally()
 
     # -- basic operations ---------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._buffers)
-
-    def _trace(self, name: str, **args) -> None:
-        # call sites guard on ``self.sim.tracer is not None`` themselves
-        # so a disabled tracer costs nothing (no str() formatting, no
-        # kwargs dict, no call) on the block-lookup hot path
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(name, cat="cache", track=self.name, **args)
 
     def _touch(self, buf: Buffer) -> None:
         """Make ``buf`` (which must be attached) the most recently used."""
@@ -135,13 +128,13 @@ class BufferCache:
         buf = self._buffers.get((file_key, block_no))
         if buf is not None:
             self._touch(buf)
-            self.stats.record("hits")
-            if self.sim.tracer is not None:
-                self._trace("cache.hit", file=str(file_key), block=block_no)
+            self.stats["hits"] += 1
         else:
-            self.stats.record("misses")
-            if self.sim.tracer is not None:
-                self._trace("cache.miss", file=str(file_key), block=block_no)
+            self.stats["misses"] += 1
+        if self.sim.probe is not None:
+            self.sim.probe.cache(
+                "miss" if buf is None else "hit", self.name, file_key, block=block_no
+            )
         return buf
 
     def contains(self, file_key: Hashable, block_no: int) -> bool:
@@ -169,7 +162,7 @@ class BufferCache:
             buf.tick = next(self._ticks)
             self._buffers[key] = buf  # lint: ok=ATOM001 — the key was looked up again after the yield and is still absent
             self._files.setdefault(file_key, {})[block_no] = buf
-            self.stats.record("inserts")
+            self.stats["inserts"] += 1
         else:
             buf.data = data
             buf.wstamp += 1
@@ -226,9 +219,9 @@ class BufferCache:
         if buf.busy:
             raise CacheError("buffer %r is already being flushed" % (buf.key,))
         buf.busy = True
-        if self.sim.tracer is not None:
-            self._trace(
-                "cache.flush_begin", file=str(buf.file_key), block=buf.block_no,
+        if self.sim.probe is not None:
+            self.sim.probe.cache(
+                "flush_begin", self.name, buf.file_key, block=buf.block_no,
                 stamp=buf.wstamp,
             )
         return buf.wstamp
@@ -245,29 +238,20 @@ class BufferCache:
         buffer was marked clean.
         """
         buf.busy = False
-        tracing = self.sim.tracer is not None
         if not clean:
-            if tracing:
-                self._trace(
-                    "cache.flush_end", file=str(buf.file_key), block=buf.block_no,
-                    stamp=stamp, outcome="abandoned",
-                )
-            return False
-        if buf.wstamp != stamp:
-            self.stats.record("overlapped_flushes")
-            if tracing:
-                self._trace(
-                    "cache.flush_end", file=str(buf.file_key), block=buf.block_no,
-                    stamp=stamp, outcome="overlapped",
-                )
-            return False
-        self.mark_clean(buf)
-        if tracing:
-            self._trace(
-                "cache.flush_end", file=str(buf.file_key), block=buf.block_no,
-                stamp=stamp, outcome="clean",
+            outcome = "abandoned"
+        elif buf.wstamp != stamp:
+            self.stats["overlapped_flushes"] += 1
+            outcome = "overlapped"
+        else:
+            self.mark_clean(buf)
+            outcome = "clean"
+        if self.sim.probe is not None:
+            self.sim.probe.cache(
+                "flush_end", self.name, buf.file_key, block=buf.block_no,
+                stamp=stamp, outcome=outcome,
             )
-        return True
+        return outcome == "clean"
 
     def _make_room(self):
         while len(self._buffers) >= self.capacity:
@@ -288,17 +272,15 @@ class BufferCache:
                     ok = True
                 finally:
                     self.flush_end(victim, stamp, clean=ok)
-                self.stats.record("dirty_evictions")
+                self.stats["dirty_evictions"] += 1
                 if victim.dirty:
                     continue  # written to during the flush; not evictable yet
             # victim may have been invalidated during the flush
             if self._attached(victim):
                 self._detach(victim)
-                self.stats.record("evictions")
-                if self.sim.tracer is not None:
-                    self._trace(
-                        "cache.evict", file=str(victim.file_key), block=victim.block_no
-                    )
+                self.stats["evictions"] += 1
+                if self.sim.probe is not None:
+                    self.sim.probe.cache("evict", self.name, victim.file_key, block=victim.block_no)
 
     def _pick_victim(self) -> Optional[Buffer]:
         # Prefer the LRU clean buffer; fall back to the LRU dirty one.
@@ -332,8 +314,9 @@ class BufferCache:
             self._detach(buf)
             dropped += 1
         if dropped:
-            self.stats.record("invalidated", n=dropped)
-            self._trace("cache.invalidate", file=str(file_key), blocks=dropped)
+            self.stats["invalidated"] += dropped
+            if self.sim.probe is not None:
+                self.sim.probe.cache("invalidate", self.name, file_key, blocks=dropped)
         return dropped
 
     def cancel_dirty_file(self, file_key: Hashable) -> int:
@@ -350,8 +333,9 @@ class BufferCache:
                 cancelled += 1
             self._detach(buf)
         if cancelled:
-            self.stats.record("cancelled_writes", n=cancelled)
-            self._trace("cache.cancel_dirty", file=str(file_key), blocks=cancelled)
+            self.stats["cancelled_writes"] += cancelled
+            if self.sim.probe is not None:
+                self.sim.probe.cache("cancel_dirty", self.name, file_key, blocks=cancelled)
         return cancelled
 
     def dirty_buffers(

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from ..metrics import Counters
+from ..metrics import Tally
 from ..sim import Resource, Simulator
 
 __all__ = ["DiskConfig", "Disk", "DiskError"]
@@ -66,7 +66,7 @@ class Disk:
         self._drive = Resource(sim, capacity=1, name=name)
         self._drive.obs_kind = "disk"
         self._head_pos: Optional[int] = None  # block address after last op
-        self.stats = Counters()
+        self.stats = Tally()
         # fault-injection state (see repro.faults); both revert to the
         # fault-free values when the window closes
         self._fault_rng = random.Random(seed)
@@ -101,29 +101,28 @@ class Disk:
             raise ValueError("disk I/O of %d blocks" % n_blocks)
         if not self._drive.try_acquire():
             yield self._drive.acquire()
+        probe = self.sim.probe
         span = None
-        if self.sim.tracer is not None:
-            span = self.sim.tracer.begin(
-                "disk.%s" % kind[:-1], cat="disk", track=self.name,
-                addr=addr, blocks=n_blocks,
+        if probe is not None:
+            span = probe.span_begin(
+                "disk.%s" % kind[:-1], "disk", self.name, addr=addr, blocks=n_blocks
             )
         try:
             for attempt in range(_MAX_IO_RETRIES + 1):
                 delay = self._access_time(addr, n_blocks) * self.slow_factor
                 yield delay
-                if self.sim.obs is not None:
+                probe = self.sim.probe
+                if probe is not None:
                     # every attempt's access time counts, retries included:
                     # the op really did wait on the spindle for all of it
-                    self.sim.obs.add("disk.service", delay)
+                    probe.spent("disk.service", delay)
                 if self.error_rate <= 0 or self._fault_rng.random() >= self.error_rate:
                     break
                 # transient failure: the access time was paid for nothing;
                 # the driver repositions and retries
-                self.stats.record("io_errors", t=self.sim.now)
-                if self.sim.tracer is not None:
-                    self.sim.tracer.instant(
-                        "disk.io_error", cat="disk", track=self.name, addr=addr
-                    )
+                self.stats["io_errors"] += 1
+                if probe is not None:
+                    probe.mark("disk.io_error", "disk", self.name, addr=addr)
                 self._head_pos = None
             else:
                 raise DiskError(
@@ -132,10 +131,10 @@ class Disk:
             self._head_pos = addr + n_blocks
         finally:
             if span is not None:
-                self.sim.tracer.end(span)
+                probe.span_end(span)
             self._drive.release()
-        self.stats.record(kind, t=self.sim.now)
-        self.stats.record(kind[:-1] + "_blocks", n=n_blocks)
+        self.stats[kind] += 1
+        self.stats[kind[:-1] + "_blocks"] += n_blocks
 
     # -- observability ----------------------------------------------------
 

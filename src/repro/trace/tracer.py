@@ -18,10 +18,9 @@ all keyed by **simulated** time and stitched into one causal tree:
 
 Design constraints:
 
-* **zero overhead when off** — the tracer hangs off ``sim.tracer``
-  (``None`` by default); every instrumentation site is a single
-  attribute load and ``None`` test, and no trace objects exist until
-  ``sim.enable_tracer()`` (or ``REPRO_TRACE=1``) is used;
+* **zero overhead when off** — sites report through ``sim.probe``
+  (one attribute load and ``None`` test), and no trace objects exist
+  until ``sim.enable_tracer()`` (or ``REPRO_TRACE=1``) is used;
 * **deterministic** — ids come from counters, timestamps from
   ``sim.now``; no wall clock, no RNG, no ``id()``/hash values.  The
   exported trace of a seeded run is byte-identical across replays,
@@ -92,14 +91,13 @@ class TraceEvent:
 class Tracer:
     """Collects spans and events for one :class:`~repro.sim.Simulator`.
 
-    Usually created via ``sim.enable_tracer()``.  All live tracers are
-    kept in :attr:`Tracer.instances` so CLI wrappers that enable
-    tracing through ``REPRO_TRACE=1`` can export every simulator an
-    experiment constructed (one experiment may build several).
+    Usually created via ``sim.enable_tracer()``; the simulator holds the
+    only reference, so a tracer dies with it.  :meth:`capture` collects
+    the tracers of every simulator a callable builds.
     """
 
-    #: every Tracer constructed since the last drain (export plumbing)
-    instances: List["Tracer"] = []
+    #: the innermost active :meth:`capture`'s collection, else None
+    _capturing: Optional[List["Tracer"]] = None
 
     def __init__(self, sim, trace_resumes: bool = False):
         self.sim = sim
@@ -113,30 +111,28 @@ class Tracer:
         self._trace_ids = itertools.count(1)
         #: context used outside any process (plain engine callbacks)
         self._ambient: Optional[Context] = None
-        Tracer.instances.append(self)
-
-    @classmethod
-    def drain_instances(cls) -> List["Tracer"]:
-        """Return and forget all tracers created so far."""
-        out, cls.instances = cls.instances, []
-        return out
+        if Tracer._capturing is not None:
+            Tracer._capturing.append(self)
 
     @classmethod
     def capture(cls, run_fn: Callable[[], Any]) -> Tuple[Any, List["Tracer"]]:
         """Call ``run_fn`` with ``REPRO_TRACE`` armed, so that every
         simulator it builds records a trace; returns its result and
-        those tracers (one experiment may build several testbeds)."""
-        cls.drain_instances()
+        those tracers (one experiment may build several testbeds).
+        Nested captures each see exactly the tracers built inside them."""
+        outer, mine = cls._capturing, []
+        cls._capturing = mine
         had = os.environ.get("REPRO_TRACE")
         os.environ["REPRO_TRACE"] = "1"
         try:
             result = run_fn()
         finally:
+            cls._capturing = outer
             if had is None:
                 os.environ.pop("REPRO_TRACE", None)
             else:
                 os.environ["REPRO_TRACE"] = had
-        return result, cls.drain_instances()
+        return result, mine
 
     # -- context plumbing ---------------------------------------------------
 

@@ -125,7 +125,7 @@ def cached_write(
     file_key = g.cache_key
     buffers = []
     pos = 0
-    sanitizer = cache.sim.sanitizer
+    probe = cache.sim.probe
     for bno in block_range(offset, len(data), block_size):
         block_start = bno * block_size
         start_in_block = max(offset - block_start, 0)
@@ -138,10 +138,9 @@ def cached_write(
         # SimTSan: a partial-block write is a read-modify-write that can
         # yield (the fill); a second writer touching the same block in
         # that window would have its bytes clobbered by the merge.
-        span = None
-        if sanitizer is not None:
-            span = sanitizer.begin("buffer", (cache.name, file_key, bno), "write")
-            sanitizer.note_write("buffer", (cache.name, file_key, bno), what="write")
+        region = None
+        if probe is not None:
+            region = probe.region_begin("buffer", (cache.name, file_key, bno), "write", wrote=True)
         try:
             buf = cache.lookup(file_key, bno)
             if buf is None:
@@ -156,7 +155,7 @@ def cached_write(
                     buf, merge_block(buf.data, start_in_block, piece), dirty=mark_dirty
                 )
         finally:
-            if span is not None:
-                sanitizer.end(span)
+            if region is not None:
+                probe.region_end(region)
         buffers.append(buf)
     return buffers

@@ -154,18 +154,9 @@ def test_validator_catches_problems():
     assert any("line" in p for p in validate_lint_document(doc))
 
 
-def test_cli_full_run_is_clean_and_writes_valid_json(tmp_path):
-    out = io.StringIO()
-    report = tmp_path / "report.json"
-    code = run_lint(
-        strict=True,
-        atomicity=True,
-        seam=True,
-        json_out=str(report),
-        out=out,
-    )
-    assert code == 0, out.getvalue()
-    doc = json.loads(report.read_text())
+def test_cli_full_run_is_clean_and_writes_valid_json(lint_report):
+    code, text, doc = lint_report
+    assert code == 0, text
     assert validate_lint_document(doc) == []
     assert set(doc["passes"]) == {"det-sim", "atomicity", "seam", "conformance"}
     assert doc["summary"]["errors"] == 0

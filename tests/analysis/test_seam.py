@@ -1,4 +1,4 @@
-"""The SEAM001-SEAM003 seam-contract rules on their fixture."""
+"""The SEAM001-SEAM004 seam-contract rules on their fixtures."""
 
 import os
 
@@ -92,6 +92,44 @@ def test_seam003_crash_state_reset_off_the_crash_path(raw):
         "TableResetServer.proc_reset",
         "TableResetServer.maintenance",
     }
+
+
+def test_seam004_model_code_behind_the_probe_is_clean():
+    good = os.path.join(FIXTURES, "seam004_good.py")
+    assert of_rule(analyze_index(index_paths([good])), "SEAM004") == []
+
+
+def test_seam004_flags_each_reach_past_the_probe():
+    bad = os.path.join(FIXTURES, "seam004_bad.py")
+    findings = of_rule(analyze_index(index_paths([bad])), "SEAM004")
+    assert all(f.severity == "error" for f in findings)
+    imports = {f.subject for f in findings if f.function == "<module>"}
+    assert imports == {
+        "repro.analysis.sanitizer", "repro.metrics.registry",
+        "repro.obs", "repro.trace",
+    }
+    by_function = {}
+    for f in findings:
+        by_function.setdefault(f.function, set()).add(f.subject)
+    assert by_function["read"] == {"sim.tracer", "sim.obs"}
+    assert by_function["retransmit"] == {"sim.metrics", "sim.sanitizer"}
+
+
+def test_seam004_exempts_the_engine_and_the_harness_packages(tmp_path):
+    source = "def peek(sim):\n    return sim.tracer\n"
+    for rel, flagged in (
+        ("repro/net/peek.py", True),
+        ("repro/sim/peek.py", True),
+        ("repro/sim/engine.py", False),
+        ("repro/obs/peek.py", False),
+        ("repro/experiments/peek.py", False),
+        ("repro/peek.py", False),
+    ):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        found = of_rule(analyze_index(index_paths([str(path)])), "SEAM004")
+        assert bool(found) is flagged, rel
 
 
 def test_real_tree_seam_is_clean():

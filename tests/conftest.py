@@ -1,5 +1,8 @@
 """Shared test helpers."""
 
+import io
+import json
+
 import pytest
 
 from repro.sim import Simulator
@@ -53,5 +56,27 @@ class SimRunner:
 
 
 @pytest.fixture
+def no_observers(monkeypatch):
+    """The REPRO_* switches off, whatever the CI job exported.  Request
+    it before ``runner``: a Simulator reads them as it is constructed."""
+    for name in ("REPRO_TRACE", "REPRO_OBS", "REPRO_SANITIZE"):
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture
 def runner():
     return SimRunner()
+
+
+@pytest.fixture(scope="session")
+def lint_report(tmp_path_factory):
+    """The full ``lint --strict --atomicity --seam`` walk of ``src/``,
+    run once per session: ``(exit code, printed text, JSON document)``."""
+    from repro.analysis.cli import run_lint
+
+    out = io.StringIO()
+    report = tmp_path_factory.mktemp("lint") / "report.json"
+    code = run_lint(
+        strict=True, atomicity=True, seam=True, json_out=str(report), out=out
+    )
+    return code, out.getvalue(), json.loads(report.read_text())

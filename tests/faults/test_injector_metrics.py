@@ -50,7 +50,7 @@ def test_fault_events_feed_the_metrics_registry(runner):
     assert len(inj.log) == 6
 
 
-def test_fault_events_without_metrics_enabled_still_log(runner):
+def test_fault_events_without_metrics_enabled_still_log(no_observers, runner):
     assert runner.sim.metrics is None
     inj = FaultInjector(runner.sim, network=make_net(runner))
     inj.install(PLAN)

@@ -1,8 +1,8 @@
 """rpc.retrans / rpc.dup_hits registry counters under injected loss.
 
-Satellite of the observability PR: the fault-injection scenarios that
-previously could only assert on the legacy per-endpoint Counters now
-also land in the unified MetricsRegistry, with per-proc labels.
+The fault-injection scenarios land in the unified MetricsRegistry (fed
+through ``sim.probe``) with per-proc labels, and agree with the
+always-on per-endpoint ``Tally``.
 """
 
 import pytest
@@ -49,7 +49,7 @@ def test_loss_burst_lands_in_retrans_counter(runner):
     retrans = metrics.counter("rpc.retrans")
     assert retrans.total() > 0
     assert retrans.get(proc="ping", endpoint="a") == retrans.total()
-    # the legacy per-endpoint counter agrees
+    # the always-on per-endpoint tally agrees
     assert a.rpc.client_stats.get("ping.retransmit") == retrans.total()
 
 
@@ -81,7 +81,7 @@ def test_clean_network_records_no_retrans(runner):
     assert latency.mean(proc="ping", endpoint="a", server="b") > 0
 
 
-def test_metrics_off_means_no_registry(runner):
+def test_metrics_off_means_no_registry(no_observers, runner):
     sim = runner.sim
     net = Network(sim, NetworkConfig(seed=1))
     a = Host(sim, net, "a", HostConfig.titan_client())

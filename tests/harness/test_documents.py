@@ -10,7 +10,6 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.cli import run_lint
 from repro.analysis.report import validate_lint_document
 from repro.bench import bench_document, validate_bench_document
 from repro.document import NUMBER, MapOf, Maybe, check, write_json
@@ -33,18 +32,18 @@ def _committed(name):
 
 
 @pytest.fixture(scope="module")
-def valid_documents(tmp_path_factory):
+def valid_documents(lint_report):
     """One valid document per schema: the committed bench and obs
     artifacts, a fresh nemesis document and a fresh lint report."""
     cells = run_matrix(seed=1, protocols=("rfs",), workloads=("meta-churn",),
                        plans=("calm", "server-crash"))
-    report = tmp_path_factory.mktemp("lint") / "lint.json"
-    assert run_lint(json_out=str(report), out=io.StringIO()) == 0
+    code, text, lint_doc = lint_report
+    assert code == 0, text
     return {
         "bench": [_committed("BENCH_engine.json"), _committed("BENCH_workloads.json")],
         "obs": [_committed("OBS_andrew-nfs.json"), _committed("OBS_andrew-snfs.json")],
         "nemesis": [nemesis_document(cells, 1, timing={"jobs": 1})],
-        "lint": [json.loads(report.read_text())],
+        "lint": [lint_doc],
     }
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.metrics import Counter, Histogram, MetricsRegistry
 
 
 def test_counter_labels_and_totals():
@@ -16,16 +16,6 @@ def test_counter_labels_and_totals():
     assert c.get(endpoint="m1", proc="nfs.read") == 3  # order-insensitive
     assert c.get(proc="absent") == 0
     assert c.total() == 4
-
-
-def test_gauge_set_add_get():
-    g = Gauge("cache.dirty")
-    g.set(5, host="c0")
-    g.add(2, host="c0")
-    g.set(1, host="c1")
-    assert g.get(host="c0") == 7
-    assert g.get(host="c1") == 1
-    assert g.get(host="c2") == 0
 
 
 def test_histogram_buckets_and_stats():
@@ -52,16 +42,13 @@ def test_registry_create_or_fetch():
     a = reg.counter("x")
     assert reg.counter("x") is a
     assert reg.names() == ["x"]
-    reg.gauge("g")
     reg.histogram("h")
-    assert reg.names() == ["g", "h", "x"]
+    assert reg.names() == ["h", "x"]
 
 
 def test_registry_kind_mismatch_raises():
     reg = MetricsRegistry()
     reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
     with pytest.raises(TypeError):
         reg.histogram("x")
 
@@ -70,7 +57,7 @@ def test_as_dict_is_sorted_and_json_stable():
     reg = MetricsRegistry()
     reg.counter("zeta").inc(b="2", a="1")
     reg.counter("alpha").inc()
-    reg.gauge("mid").set(3.0, k="v")
+    reg.histogram("mid").observe(3.0, k="v")
     d = reg.as_dict()
     assert list(d) == ["alpha", "mid", "zeta"]
     assert d["zeta"]["kind"] == "counter"
@@ -78,7 +65,7 @@ def test_as_dict_is_sorted_and_json_stable():
     assert json.dumps(d, sort_keys=True) == json.dumps(reg.as_dict(), sort_keys=True)
 
 
-def test_enable_metrics_on_simulator():
+def test_enable_metrics_on_simulator(no_observers):
     from repro.sim import Simulator
 
     sim = Simulator()
@@ -123,7 +110,7 @@ def test_as_dict_reports_bucket_bounds():
 
 
 def test_rpc_latency_uses_finer_buckets():
-    from repro.net.rpc import RPC_LATENCY_BUCKETS
+    from repro.obs.probe import RPC_LATENCY_BUCKETS
 
     # sub-millisecond resolution at the low end for LAN-scale RPCs
     assert RPC_LATENCY_BUCKETS[0] < 0.001

@@ -11,15 +11,12 @@ import json
 import pytest
 
 from repro.experiments import run_traced_andrew
-from repro.trace import Tracer, chrome_trace_json, validate_chrome_trace
+from repro.trace import chrome_trace_json, validate_chrome_trace
 
 
 @pytest.fixture(scope="module")
 def snfs_run():
-    Tracer.drain_instances()
-    run = run_traced_andrew("snfs", seed=1989)
-    yield run
-    Tracer.drain_instances()
+    return run_traced_andrew("snfs", seed=1989)
 
 
 def test_epilogue_actually_read_data(snfs_run):
@@ -84,9 +81,7 @@ def test_exported_trace_validates(snfs_run):
 
 
 def test_nfs_run_has_no_callback_machinery():
-    Tracer.drain_instances()
     run = run_traced_andrew("nfs", seed=1989)
-    Tracer.drain_instances()
     assert run.epilogue_bytes > 0
     assert run.tracer.find_spans("snfs.callback") == []
     assert run.tracer.find_events("snfs.transition") == []

@@ -7,19 +7,11 @@ packet loss enabled, so the seed matters) must produce a different
 trace.
 """
 
-import pytest
 
 from repro.experiments import run_traced_andrew
-from repro.trace import Tracer, chrome_trace_json, trace_digest
+from repro.trace import chrome_trace_json, trace_digest
 
 DROP = 0.02  # make the run seed-sensitive
-
-
-@pytest.fixture(autouse=True)
-def _drain():
-    Tracer.drain_instances()
-    yield
-    Tracer.drain_instances()
 
 
 def _trace_bytes(protocol, seed):

@@ -19,13 +19,6 @@ from repro.trace import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _drain():
-    Tracer.drain_instances()
-    yield
-    Tracer.drain_instances()
-
-
 def _sample_tracer(runner):
     """A tiny two-track trace with a cross-track parent edge."""
     sim = runner.sim

@@ -1,6 +1,8 @@
 """Unit tests for the Tracer: spans, events, context propagation."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -8,14 +10,7 @@ from repro.sim import Simulator
 from repro.trace import Tracer
 
 
-@pytest.fixture(autouse=True)
-def _drain():
-    Tracer.drain_instances()
-    yield
-    Tracer.drain_instances()
-
-
-def test_tracing_is_off_by_default():
+def test_tracing_is_off_by_default(no_observers):
     sim = Simulator()
     assert sim.tracer is None
     assert sim.metrics is None
@@ -29,13 +24,48 @@ def test_repro_trace_env_enables_both(monkeypatch):
 
 
 def test_enable_tracer_registers_instance():
-    sim = Simulator()
-    tracer = sim.enable_tracer()
+    # with the capture that is active, and with nothing else
+    def build():
+        sim = Simulator()
+        return sim, sim.enable_tracer()
+
+    (sim, tracer), captured = Tracer.capture(build)
     assert tracer is sim.tracer
-    assert tracer in Tracer.instances
-    drained = Tracer.drain_instances()
-    assert tracer in drained
-    assert Tracer.instances == []
+    assert captured == [tracer]
+
+
+def test_tracer_enabled_outside_capture_dies_with_its_simulator():
+    # regression: Tracer.__init__ used to append every tracer to a
+    # class-level list only capture() drained, so a process tracing
+    # outside capture (REPRO_TRACE=1 CI job, a pool worker) kept every
+    # span of every simulator alive
+    sim = Simulator()
+    ref = weakref.ref(sim.enable_tracer())
+    del sim
+    gc.collect()
+    assert ref() is None
+
+
+def test_captures_see_exactly_their_own_tracers(monkeypatch):
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    before = Simulator().enable_tracer()  # outside any capture
+    inner_seen = []
+
+    def inner():
+        return Simulator().tracer
+
+    def outer():
+        first = Simulator().tracer
+        inner_seen.append(Tracer.capture(inner))
+        return first, Simulator().tracer
+
+    (first, last), mine = Tracer.capture(outer)
+    nested, nested_tracers = inner_seen[0]
+    assert mine == [first, last]
+    assert nested_tracers == [nested]
+    assert os.environ.get("REPRO_TRACE") is None  # restored after both
+    _, later = Tracer.capture(inner)  # sequential: starts empty again
+    assert len(later) == 1 and later[0] not in mine + [nested, before]
 
 
 def test_begin_end_nesting_links_parents(runner):
