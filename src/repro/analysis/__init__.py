@@ -1,8 +1,8 @@
 """Static and runtime analysis for the simulation (see docs/ANALYSIS.md).
 
-* :mod:`~repro.analysis.linter` + rule modules — an AST linter
-  (``python -m repro lint``) enforcing determinism (DET*) and
-  sim-discipline (SIM*) invariants;
+* :mod:`~repro.analysis.linter` — the static linter behind
+  ``python -m repro lint``: one project index
+  (:mod:`~repro.analysis.callgraph`), one rule table, one emit path;
 * :mod:`~repro.analysis.table41` — a machine-readable spec of the
   paper's Table 4-1 plus a conformance diff against the live
   state table (TBL41);
@@ -10,14 +10,12 @@
   sanitizer the engine enables under ``REPRO_SANITIZE=1``.
 """
 
-from .linter import Finding, Module, Rule, lint_paths, lint_source
+from .linter import Finding, lint_paths, lint_source
 from .sanitizer import RuntimeFinding, Sanitizer, SanitizerError
 from .table41 import CALLBACK_LEGALITY, EXPECTED, IMPOSSIBLE, conformance_findings
 
 __all__ = [
     "Finding",
-    "Module",
-    "Rule",
     "lint_paths",
     "lint_source",
     "Sanitizer",

@@ -18,23 +18,9 @@ and the *guards* that make a crossing safe:
   (the stamp re-validation protocol makes the crossing safe);
 * a ``# lint: ok=ATOM00x — reason`` suppression or a baseline entry.
 
-Rules (location granularity is root-plus-one-attribute, e.g.
-``self._entries`` or ``entry.open_counts``):
-
-``ATOM001`` (error)
-    read before an unguarded yield, write after: the classic lost
-    update — the decision was made on pre-yield state.
-``ATOM002`` (error)
-    write before an unguarded yield, write after: a multi-step update
-    other processes can observe half-done.
-``ATOM003`` (warning)
-    write before an unguarded yield, read after: the re-read may
-    reflect another process's interleaved update (the stale-return
-    hazard fixed in ``RfsServer.proc_write``).
-``ATOM004`` (warning)
-    a loop iterates a snapshot (``list(...)``/``sorted(...)``) of a
-    shared container across unguarded yields while the function also
-    mutates that container.
+A crossing is reported once per shared location, at
+root-plus-one-attribute granularity (``self._entries``,
+``entry.open_counts``); docs/ANALYSIS.md has the ATOM rule catalogue.
 
 Writes are direct mutations only: assignments/deletions through a
 shared root, the unambiguous container mutators (``pop``, ``clear``,
@@ -52,18 +38,11 @@ invisible from inside the helper).
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .callgraph import FunctionInfo, ProjectIndex, index_paths
-from .linter import Finding, finding_fingerprint
+from .callgraph import FunctionInfo, ProjectIndex, chain
 
-__all__ = [
-    "atomicity_findings",
-    "analyze_index",
-    "flagged_regions",
-    "site_in_regions",
-    "index_paths",
-]
+__all__ = ["check"]
 
 
 #: container/table method names that mutate their receiver
@@ -75,12 +54,27 @@ _MUTATORS = frozenset(
     "note_file_removed advance_versions".split()
 )
 
-_SEVERITY = {
-    "ATOM001": "error",
-    "ATOM002": "error",
-    "ATOM003": "warning",
-    "ATOM004": "warning",
-}
+#: (rule, access kind before the yield, kind after, message template)
+_CROSSINGS = (
+    (
+        "ATOM001", "read", "write",
+        "'%s' is read (line %d) and then written here across an "
+        "unguarded yield (line %d): another process can interleave and "
+        "this write clobbers its update",
+    ),
+    (
+        "ATOM002", "write", "write",
+        "'%s' is written (line %d) and written again here across an "
+        "unguarded yield (line %d): the multi-step update is observable "
+        "half-done",
+    ),
+    (
+        "ATOM003", "write", "read",
+        "'%s' was written (line %d) before an unguarded yield (line %d) "
+        "and is re-read here: the value may reflect another process's "
+        "interleaved update",
+    ),
+)
 
 
 class _Access:
@@ -107,6 +101,9 @@ class _FunctionScan:
         self.snapshot_loops: List[Tuple[ast.For, str]] = []
         #: local name -> is shared-rooted
         self.aliases: Dict[str, bool] = {}
+        #: loop variable -> the shared container it iterates, so writes
+        #: through it count as mutations of the container (ATOM004)
+        self.container_aliases: Dict[str, str] = {}
         self.lock_depth = 0
         self.flush_depth = 0
         self._clock = 0
@@ -133,24 +130,11 @@ class _FunctionScan:
 
     def _loc(self, node: ast.AST) -> Optional[str]:
         """Root-plus-one-attribute key for a shared access, or None."""
-        parts: List[str] = []
-        cur = node
-        while True:
-            if isinstance(cur, ast.Subscript):
-                cur = cur.value
-            elif isinstance(cur, ast.Attribute):
-                parts.append(cur.attr)
-                cur = cur.value
-            elif isinstance(cur, ast.Name):
-                parts.append(cur.id)
-                break
-            else:
-                return None
-        parts.reverse()
+        parts = chain(node, through=(ast.Subscript,))
         root = parts[0]
         if root == "self":
             return "self.%s" % parts[1] if len(parts) > 1 else None
-        if self.aliases.get(root):
+        if root is not None and self.aliases.get(root):
             return root if len(parts) == 1 else "%s.%s" % (root, parts[1])
         return None
 
@@ -256,21 +240,11 @@ class _FunctionScan:
             self.snapshot_loops.append((stmt, snap_loc))
 
     def _alias_to_container(self, target: ast.AST, loc: str) -> None:
-        # record container-rooted aliases so writes through loop vars
-        # count as mutations of the container for ATOM004
-        self._container_aliases = getattr(self, "_container_aliases", {})
-        names = []
-        self._collect_names(target, names)
-        for name in names:
-            self._container_aliases[name] = loc
-
-    @staticmethod
-    def _collect_names(target: ast.AST, out: List[str]) -> None:
         if isinstance(target, ast.Name):
-            out.append(target.id)
+            self.container_aliases[target.id] = loc
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                _FunctionScan._collect_names(elt, out)
+                self._alias_to_container(elt, loc)
 
     def _snapshot_loc(self, iter_expr: ast.AST) -> Optional[str]:
         """``list(shared)`` / ``sorted(shared.items())`` -> the shared loc."""
@@ -365,156 +339,47 @@ class _FunctionScan:
                 self._emit_access("read", func.id, func)
 
     def _container_loc(self, node: ast.AST) -> Optional[str]:
-        aliases = getattr(self, "_container_aliases", None)
-        if not aliases:
-            return None
-        cur = node
-        while isinstance(cur, (ast.Attribute, ast.Subscript)):
-            cur = cur.value
-        if isinstance(cur, ast.Name):
-            return aliases.get(cur.id)
-        return None
+        return self.container_aliases.get(chain(node, through=(ast.Subscript,))[0])
 
     # -- findings ----------------------------------------------------------
 
-    def findings(self) -> List[Finding]:
-        out: List[Finding] = []
-        reported_locs = set()
+    def findings(self) -> Iterator[Tuple]:
+        """One raw finding per shared location; the strongest rule wins."""
+        fn = self.fn
+        reported = set()
         for loc in sorted(self.accesses):
-            finding = self._crossing_finding(loc)
-            if finding is not None:
-                reported_locs.add(loc)
-                out.append(finding)
+            hit = self._crossing(loc)
+            if hit is not None:
+                reported.add(loc)
+                rule, node, message = hit
+                yield rule, fn.module, node, message, fn.qualname, loc
         for stmt, loc in self.snapshot_loops:
-            if loc in reported_locs:
+            if loc in reported:
                 continue  # the stronger crossing rule already covers it
             if not any(a.kind == "write" for a in self.accesses.get(loc, ())):
                 continue
-            out.append(
-                self._finding(
-                    "ATOM004",
-                    stmt,
-                    loc,
-                    "loop iterates a snapshot of '%s' across unguarded "
-                    "yields while the function mutates it: entries added "
-                    "during the loop are missed, removed ones acted upon"
-                    % loc,
-                )
+            reported.add(loc)
+            message = (
+                "loop iterates a snapshot of '%s' across unguarded "
+                "yields while the function mutates it: entries added "
+                "during the loop are missed, removed ones acted upon" % loc
             )
-            reported_locs.add(loc)
-        return out
+            yield "ATOM004", fn.module, stmt, message, fn.qualname, loc
 
-    def _crossing_finding(self, loc: str) -> Optional[Finding]:
+    def _crossing(self, loc: str) -> Optional[Tuple[str, ast.AST, str]]:
         accesses = self.accesses[loc]
-        for rule, before_kind, after_kind in (
-            ("ATOM001", "read", "write"),
-            ("ATOM002", "write", "write"),
-            ("ATOM003", "write", "read"),
-        ):
+        for rule, before_kind, after_kind, template in _CROSSINGS:
             for yidx, ynode in self.yields:
                 before = [a for a in accesses if a.idx < yidx and a.kind == before_kind]
                 after = [a for a in accesses if a.idx > yidx and a.kind == after_kind]
-                if not before or not after:
-                    continue
-                anchor = after[0]
-                first = before[0]
-                templates = {
-                    "ATOM001": (
-                        "'%s' is read (line %d) and then written here "
-                        "across an unguarded yield (line %d): another "
-                        "process can interleave and this write clobbers "
-                        "its update"
-                    ),
-                    "ATOM002": (
-                        "'%s' is written (line %d) and written again here "
-                        "across an unguarded yield (line %d): the "
-                        "multi-step update is observable half-done"
-                    ),
-                    "ATOM003": (
-                        "'%s' was written (line %d) before an unguarded "
-                        "yield (line %d) and is re-read here: the value "
-                        "may reflect another process's interleaved update"
-                    ),
-                }
-                message = templates[rule] % (loc, first.node.lineno, ynode.lineno)
-                return self._finding(rule, anchor.node, loc, message)
+                if before and after:
+                    message = template % (loc, before[0].node.lineno, ynode.lineno)
+                    return rule, after[0].node, message
         return None
 
-    def _finding(self, rule: str, node: ast.AST, loc: str, message: str) -> Finding:
-        return Finding(
-            rule=rule,
-            path=self.fn.module.path,
-            line=getattr(node, "lineno", self.fn.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            severity=_SEVERITY[rule],
-            function=self.fn.qualname,
-            subject=loc,
-            fingerprint=finding_fingerprint(
-                rule, self.fn.module.path, self.fn.qualname, loc
-            ),
-        )
 
-
-def analyze_index(index: ProjectIndex) -> List[Finding]:
-    """Raw ATOM findings over the whole index, **before** suppression."""
-    findings: List[Finding] = []
+def check(index: ProjectIndex) -> Iterator[Tuple]:
+    """The atomicity pass: raw ATOM findings over every process function."""
     for fn in index.functions.values():
-        if not fn.is_generator:
-            continue
-        scan = _FunctionScan(index, fn)
-        if not scan.yields and not scan.snapshot_loops:
-            continue
-        findings.extend(scan.findings())
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def atomicity_findings(index: ProjectIndex) -> List[Finding]:
-    """ATOM findings with ``# lint: ok=...`` suppressions applied."""
-    by_path = {m.path: m for m in index.modules}
-    out = []
-    for finding in analyze_index(index):
-        module = by_path.get(finding.path)
-        if module is not None and module.suppressed(finding.rule, finding.line):
-            continue
-        out.append(finding)
-    return out
-
-
-def flagged_regions(index: ProjectIndex) -> List[Tuple[str, str, int, int]]:
-    """Function regions with at least one *raw* ATOM finding.
-
-    Suppressed and baselined findings still contribute a region: a
-    suppression documents a reviewed hazard, it does not unmark the
-    code — this is what the static-vs-runtime cross-validation
-    contract checks SimTSan findings against.
-    """
-    fn_by_key = {
-        (fn.module.path, fn.qualname): fn for fn in index.functions.values()
-    }
-    regions = []
-    seen = set()
-    for finding in analyze_index(index):
-        key = (finding.path, finding.function)
-        if key in seen:
-            continue
-        seen.add(key)
-        fn = fn_by_key.get(key)
-        if fn is not None:
-            regions.append(fn.region())
-    return regions
-
-
-def site_in_regions(
-    site: Tuple[str, int], regions: Sequence[Tuple[str, str, int, int]]
-) -> bool:
-    """Is a runtime (filename, lineno) inside any flagged region?"""
-    import os
-
-    filename, lineno = site
-    real = os.path.realpath(filename)
-    for path, _qualname, first, last in regions:
-        if os.path.realpath(path) == real and first <= lineno <= last:
-            return True
-    return False
+        if fn.is_generator:
+            yield from _FunctionScan(index, fn).findings()

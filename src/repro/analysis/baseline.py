@@ -28,7 +28,10 @@ path + function + subject; see
 :func:`~repro.analysis.linter.finding_fingerprint`), so entries
 survive unrelated line churn.  An entry no longer matched by any
 finding is *stale* and reported as a warning: fix the baseline when
-you fix the code.
+you fix the code.  (Only a run that could have matched an entry may
+call it stale: :func:`~repro.analysis.cli.run_lint` asks that the
+entry's rule belong to a pass that ran and its ``path`` to a linted
+file.)
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..document import check, read_json
-from .linter import Finding
+from .linter import RULES, Finding
 
 __all__ = ["BASELINE_SCHEMA", "load_baseline", "apply_baseline"]
 
@@ -59,6 +62,10 @@ def load_baseline(path: str) -> Dict:
         for i, entry in enumerate(doc["findings"])
         for field in _ENTRY_FIELDS
         if not entry[field]
+    ] + [
+        "findings[%d] names no known rule: %r" % (i, entry["rule"])
+        for i, entry in enumerate(doc["findings"])
+        if entry["rule"] not in RULES
     ]
     if problems:
         raise ValueError("baseline %s: %s" % (path, "; ".join(problems)))
@@ -68,7 +75,8 @@ def load_baseline(path: str) -> Dict:
 def apply_baseline(
     findings: Sequence[Finding], doc: Dict
 ) -> Tuple[List[Finding], List[Finding], List[Dict]]:
-    """Split findings into (active, baselined) and return stale entries.
+    """Split findings into (active, baselined) and return the entries
+    no finding matched.
 
     A baseline entry absorbs every finding with its fingerprint (the
     fingerprint is line-independent, so one reviewed hazard that the
@@ -85,9 +93,5 @@ def apply_baseline(
             baselined.append(finding)
         else:
             active.append(finding)
-    stale = [
-        entry
-        for fp, entry in sorted(by_fp.items())
-        if fp not in matched
-    ]
-    return active, baselined, stale
+    unmatched = [entry for fp, entry in sorted(by_fp.items()) if fp not in matched]
+    return active, baselined, unmatched

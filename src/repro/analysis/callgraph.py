@@ -1,27 +1,26 @@
-"""A whole-program call graph with transitive **may-yield** analysis.
+"""The project index: every file parsed once, walked once, resolved once.
 
-The simulator's interleaving points are exactly the ``yield``s: a
-process coroutine suspends at ``yield <waitable>`` and at ``yield from
-f()`` whenever ``f`` (transitively) suspends.  Static reasoning about
-atomicity therefore needs, for every function in the tree, the answer
-to "can control leave this function mid-body?" — the *may-yield* set.
+:func:`index_paths` reads and parses each ``.py`` under its paths into
+one :class:`Module`; a :class:`ProjectIndex` over those modules is what
+every static pass consumes (see :mod:`~repro.analysis.linter`).
 
-:class:`ProjectIndex` parses a set of :class:`~repro.analysis.linter.Module`
-objects and builds:
+A :class:`Module` walks its tree a single time and leaves behind the
+tables the checkers read instead of re-walking: parent links, each
+node's owning ``def``, the nodes bucketed by type, and per function the
+facts the call graph needs (:class:`FunctionInfo`) — valued ``yield``s
+(always a suspension: the value is a waitable), bare ``yield``s (the
+dead-code idiom ``return x; yield`` — *not* a suspension), ``yield
+from`` expressions, calls, and the ``sim.spawn(f(...))`` /
+``sim.after(d, f)`` sites that *create* processes (edges for root
+discovery; the caller does not suspend at a spawn).
 
-* a function index (module-level functions and methods, with their
-  enclosing class and a base-name MRO for method resolution);
-* per-function suspension structure: bare ``yield``s (the dead-code
-  idiom ``return x; yield`` — *not* a suspension), valued ``yield``s
-  (always a suspension: the value is a waitable), and ``yield from``
-  edges to callees;
-* call-graph edges for ``sim.spawn(f(...))`` and ``sim.after(d, f)``
-  roots — these *create* processes, so they are edges for root
-  discovery but do **not** propagate may-yield to the caller (the
-  caller does not suspend at a spawn);
-* the may-yield fixpoint: a function may yield if it has a valued
-  yield of its own, or a ``yield from`` whose callee may yield, or a
-  ``yield from`` whose callee cannot be resolved (conservative).
+The simulator's interleaving points are exactly the ``yield``s, so
+static reasoning about atomicity needs, for every function, the answer
+to "can control leave this function mid-body?".  :class:`ProjectIndex`
+solves that **may-yield** fixpoint across modules: a function may yield
+if it has a valued yield of its own, or a ``yield from`` whose callee
+may yield, or a ``yield from`` whose callee cannot be resolved
+(conservative).
 
 Resolution is name-based and deliberately conservative:
 ``self.m(...)`` and ``super().m(...)`` resolve through the enclosing
@@ -33,12 +32,32 @@ functions of that name.  Unresolvable targets are assumed to yield.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Tuple
+import io
+import os
+import tokenize
+from collections import defaultdict, deque
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .linter import Module, iter_py_files
+__all__ = [
+    "HARNESS_PACKAGES",
+    "Module",
+    "FunctionInfo",
+    "ClassInfo",
+    "ProjectIndex",
+    "index_paths",
+    "chain",
+    "dotted",
+]
 
-__all__ = ["ProjectIndex", "FunctionInfo", "ClassInfo", "index_paths"]
-
+#: The one partition of ``src/repro``.  These subpackages ("" is the
+#: top-level CLI glue) drive, observe or report on simulations from
+#: outside; every other subpackage is *model code*: it runs inside (or
+#: feeds) the event loop, so iteration order there becomes event order
+#: and it reports through ``sim.probe`` only.
+HARNESS_PACKAGES = frozenset(
+    {"", "analysis", "bench", "experiments", "metrics", "nemesis", "obs",
+     "parallel", "trace"}
+)
 
 #: builtins that never suspend, so a ``yield from`` cannot reach them
 #: and resolution may treat them as terminal non-yielding callees
@@ -46,6 +65,70 @@ _PURE_BUILTINS = frozenset(
     "list sorted tuple dict set frozenset range iter enumerate zip "
     "reversed min max sum len abs repr str bytes int float bool".split()
 )
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def chain(node: ast.AST, through: tuple = ()) -> List[Optional[str]]:
+    """The names along an attribute chain, root first.
+
+    ``a.b.c`` gives ``["a", "b", "c"]``; node types listed in
+    ``through`` (``ast.Subscript``, ``ast.Call``) are stepped over, so
+    ``self.t[k].n`` gives ``["self", "t", "n"]``.  A root that is not a
+    plain name contributes ``None``.
+    """
+    parts: List[Optional[str]] = []
+    while True:
+        if isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        elif isinstance(node, through):
+            node = node.func if isinstance(node, ast.Call) else node.value
+        else:
+            break
+    parts.append(node.id if isinstance(node, ast.Name) else None)
+    parts.reverse()
+    return parts
+
+
+def dotted(node: ast.AST) -> Optional[str]:
+    """``"a.b.c"`` for an Attribute/Name chain, else None."""
+    parts = chain(node)
+    return None if parts[0] is None else ".".join(parts)
+
+
+def _parse_suppressions(source: str) -> Dict[int, Tuple[Optional[Set[str]], str]]:
+    """Parse ``# lint: ok[=RULES][ — reason]`` comments.
+
+    Returns line -> (None (suppress all) or rule-id set, the
+    justifying reason, "" when absent).
+    """
+    out: Dict[int, Tuple[Optional[Set[str]], str]] = {}
+    if "lint:" not in source:
+        return out
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type != tokenize.COMMENT:
+                continue
+            text = tok.string.lstrip("#").strip()
+            if not text.startswith("lint:"):
+                continue
+            directive = text[len("lint:"):].strip()
+            reason = ""
+            for sep in ("—", "--"):  # em-dash or ASCII fallback
+                if sep in directive:
+                    directive, reason = directive.split(sep, 1)
+                    directive = directive.strip()
+                    reason = reason.strip()
+                    break
+            if directive == "ok":
+                out[tok.start[0]] = (None, reason)
+            elif directive.startswith("ok="):
+                rules = {r.strip() for r in directive[3:].split(",") if r.strip()}
+                out[tok.start[0]] = (rules, reason)
+    except tokenize.TokenError:
+        pass
+    return out
 
 
 class FunctionInfo:
@@ -57,9 +140,10 @@ class FunctionInfo:
         "name",
         "qualname",
         "class_info",
-        "local_suspends",
+        "valued_yields",
         "bare_yields",
         "yieldfroms",
+        "calls",
         "spawn_sites",
         "after_sites",
     )
@@ -72,30 +156,30 @@ class FunctionInfo:
         self.qualname = (
             "%s.%s" % (class_info.name, node.name) if class_info else node.name
         )
-        #: has a ``yield <value>`` of its own (a genuine suspension)
-        self.local_suspends = False
+        #: ``yield <value>`` expressions of its own (genuine suspensions)
+        self.valued_yields: List[ast.Yield] = []
         #: ``yield`` with no value: the dead-code/coroutine-marker idiom
         self.bare_yields: List[ast.Yield] = []
         #: every ``yield from`` expression owned by this function
         self.yieldfroms: List[ast.YieldFrom] = []
+        #: every call expression owned by this function
+        self.calls: List[ast.Call] = []
         #: ``sim.spawn(f(...))`` call sites (process roots)
         self.spawn_sites: List[ast.Call] = []
         #: ``sim.after(delay, f, ...)`` call sites (timer roots)
         self.after_sites: List[ast.Call] = []
 
     @property
+    def local_suspends(self) -> bool:
+        return bool(self.valued_yields)
+
+    @property
     def is_generator(self) -> bool:
-        return self.local_suspends or bool(self.bare_yields) or bool(self.yieldfroms)
+        return bool(self.valued_yields or self.bare_yields or self.yieldfroms)
 
     def region(self) -> Tuple[str, str, int, int]:
         """(path, qualname, first line, last line) of this definition."""
-        last = getattr(self.node, "end_lineno", None)
-        if last is None:  # pragma: no cover - pre-3.8 fallback
-            last = max(
-                getattr(n, "lineno", self.node.lineno)
-                for n in ast.walk(self.node)
-            )
-        return (self.module.path, self.qualname, self.node.lineno, last)
+        return (self.module.path, self.qualname, self.node.lineno, self.node.end_lineno)
 
     def __repr__(self) -> str:
         return "<FunctionInfo %s at %s:%d>" % (
@@ -112,8 +196,8 @@ class ClassInfo:
         self.module = module
         self.node = node
         self.name = node.name
-        self.base_names = [_base_name(b) for b in node.bases]
-        self.base_names = [b for b in self.base_names if b]
+        #: ``Base`` or ``pkg.Base`` -> ``"Base"``; anything fancier is dropped
+        self.base_names = [b for b in (chain(base)[-1] for base in node.bases) if b]
         self.methods: Dict[str, FunctionInfo] = {}
         #: class-level ``name = value`` assignments (protocol knobs)
         self.assigns: Dict[str, ast.AST] = {}
@@ -132,23 +216,116 @@ class ClassInfo:
         )
 
 
-def _base_name(node: ast.AST) -> Optional[str]:
-    """``Base`` or ``pkg.Base`` -> ``"Base"``; anything fancier -> None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+class Module:
+    """One source file, parsed once and walked once."""
 
+    def __init__(self, path: str, source: str, package_root: Optional[str] = None):
+        self.path = path
+        # where does this file sit relative to the package?
+        self.subpackage = self._subpackage(path, package_root)
+        #: why the file did not parse, else None; such a module is empty
+        #: (no nodes, no suppressions) and draws the PARSE finding
+        self.syntax_error: Optional[SyntaxError] = None
+        try:
+            self.tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            self.tree, source = ast.Module(body=[], type_ignores=[]), ""
+            self.syntax_error = exc
+        #: line -> (rule ids its ``# lint: ok`` covers or None for all, reason)
+        self.suppressions = _parse_suppressions(source)
+        #: parent links (ast has none): node -> enclosing node
+        self.parents: Dict[ast.AST, ast.AST] = {}
+        #: node -> the ``def`` whose body owns it (None at module level)
+        self.owner: Dict[ast.AST, Optional[ast.AST]] = {self.tree: None}
+        #: every node, bucketed by exact type: what the checkers iterate
+        self.by_type: Dict[type, List[ast.AST]] = defaultdict(list)
+        #: ``def`` node -> its facts / ``class`` node -> its facts
+        self.functions: Dict[ast.AST, FunctionInfo] = {}
+        self.classes: Dict[ast.AST, ClassInfo] = {}
+        self._walk()
 
-def _callee_of(call: ast.Call) -> Optional[str]:
-    """The attribute/function name a call targets, if syntactic."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
+    def _walk(self) -> None:
+        """The one pass over the tree, breadth-first like ``ast.walk``."""
+        parents, owner, by_type = self.parents, self.owner, self.by_type
+        klass: Dict[ast.AST, Optional[ast.AST]] = {self.tree: None}
+        todo = deque([self.tree])
+        while todo:
+            node = todo.popleft()
+            kind = type(node)
+            by_type[kind].append(node)
+            # what this node's children belong to: its own context, unless
+            # the node is itself a class or a def
+            child_fn, child_cls = owner[node], klass[node]
+            if kind is ast.ClassDef:
+                # even method-less classes: a policy that only declares
+                # class attributes still has seam contracts
+                self.classes[node] = ClassInfo(self, node)
+                child_cls = node
+            elif kind in _DEFS:
+                if kind is ast.FunctionDef:
+                    cls = self.classes.get(child_cls)
+                    self.functions[node] = info = FunctionInfo(self, node, cls)
+                    if cls is not None:
+                        cls.methods.setdefault(info.name, info)
+                child_fn = node
+            elif child_fn in self.functions:
+                self._record(self.functions[child_fn], kind, node)
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+                owner[child] = child_fn
+                klass[child] = child_cls
+                todo.append(child)
+
+    @staticmethod
+    def _record(fn: FunctionInfo, kind: type, node: ast.AST) -> None:
+        """File ``node`` under the facts of ``fn``, the def that owns it."""
+        if kind is ast.Yield:
+            (fn.bare_yields if node.value is None else fn.valued_yields).append(node)
+        elif kind is ast.YieldFrom:
+            fn.yieldfroms.append(node)
+        elif kind is ast.Call:
+            fn.calls.append(node)
+            callee = chain(node.func)[-1]
+            if callee == "spawn" and node.args:
+                fn.spawn_sites.append(node)
+            elif callee == "after" and len(node.args) >= 2:
+                fn.after_sites.append(node)
+
+    @staticmethod
+    def _subpackage(path: str, package_root: Optional[str]) -> Optional[str]:
+        norm = path.replace(os.sep, "/")
+        root = package_root and package_root.replace(os.sep, "/").rstrip("/") + "/"
+        if root and norm.startswith(root):
+            rel = norm[len(root):]
+        elif "/repro/" in norm:
+            rel = norm.rsplit("/repro/", 1)[1]
+        else:
+            return None
+        return rel.split("/", 1)[0] if "/" in rel else ""
+
+    @property
+    def model_code(self) -> bool:
+        """Outside :data:`HARNESS_PACKAGES`?  Unknown provenance
+        (fixtures, tests) counts as model code: apply every rule."""
+        return self.subpackage not in HARNESS_PACKAGES
+
+    def qualname_at(self, node: ast.AST) -> str:
+        """Qualified name of the ``def`` owning ``node`` ("" at module level)."""
+        fn = self.owner.get(node)
+        if fn is None:
+            return ""
+        info = self.functions.get(fn)
+        return info.qualname if info is not None else fn.name
+
+    def suppressed(self, rule: str, line: int) -> bool:
+        if line not in self.suppressions:
+            return False
+        rules, _reason = self.suppressions[line]
+        if rule == "SUP001":
+            # the suppression-audit rule cannot be silenced by the very
+            # bare `ok` it is auditing; only an explicit ok=SUP001 can
+            return rules is not None and rule in rules
+        return rules is None or rule in rules
 
 
 class ProjectIndex:
@@ -156,6 +333,7 @@ class ProjectIndex:
 
     def __init__(self, modules: Sequence[Module]):
         self.modules = list(modules)
+        self.by_path: Dict[str, Module] = {m.path: m for m in self.modules}
         #: (module path, qualname) -> FunctionInfo
         self.functions: Dict[Tuple[str, str], FunctionInfo] = {}
         #: simple class name -> every definition with that name
@@ -164,67 +342,21 @@ class ProjectIndex:
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
         #: module-level function name -> definitions
         self.module_functions: Dict[str, List[FunctionInfo]] = {}
-        self._fn_of_node: Dict[ast.AST, FunctionInfo] = {}
+        #: pass name -> its findings before suppression, kept by
+        #: :func:`repro.analysis.linter.raw_findings`
+        self.raw: Dict[str, list] = {}
         self._may_yield: Dict[FunctionInfo, bool] = {}
         self._accessor_memo: Dict[FunctionInfo, bool] = {}
         for module in self.modules:
-            self._index_module(module)
+            for cls in module.classes.values():
+                self.classes.setdefault(cls.name, []).append(cls)
+            for fn in module.functions.values():
+                self.functions[(module.path, fn.qualname)] = fn
+                if fn.class_info is not None:
+                    self.methods_by_name.setdefault(fn.name, []).append(fn)
+                elif module.owner[fn.node] is None:
+                    self.module_functions.setdefault(fn.name, []).append(fn)
         self._solve_may_yield()
-
-    # -- construction ------------------------------------------------------
-
-    def _index_module(self, module: Module) -> None:
-        for node in ast.walk(module.tree):
-            # index every class, even method-less ones (a policy that
-            # only declares class attributes still has seam contracts)
-            if isinstance(node, ast.ClassDef):
-                self._class_info(module, node)
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            cls_node = module.enclosing_class(node)
-            cls_info = None
-            if cls_node is not None:
-                cls_info = self._class_info(module, cls_node)
-            fn = FunctionInfo(module, node, cls_info)
-            self.functions[(module.path, fn.qualname)] = fn
-            self._fn_of_node[node] = fn
-            if cls_info is not None:
-                cls_info.methods.setdefault(fn.name, fn)
-                self.methods_by_name.setdefault(fn.name, []).append(fn)
-            elif module.enclosing_function(node) is None:
-                self.module_functions.setdefault(fn.name, []).append(fn)
-            self._scan_function(module, fn)
-
-    def _class_info(self, module: Module, node: ast.ClassDef) -> ClassInfo:
-        for info in self.classes.get(node.name, ()):
-            if info.node is node:
-                return info
-        info = ClassInfo(module, node)
-        self.classes.setdefault(node.name, []).append(info)
-        return info
-
-    def _scan_function(self, module: Module, fn: FunctionInfo) -> None:
-        for node in ast.walk(fn.node):
-            owner = (
-                node
-                if isinstance(node, ast.FunctionDef)
-                else module.enclosing_function(node)
-            )
-            if owner is not fn.node:
-                continue
-            if isinstance(node, ast.Yield):
-                if node.value is None:
-                    fn.bare_yields.append(node)
-                else:
-                    fn.local_suspends = True
-            elif isinstance(node, ast.YieldFrom):
-                fn.yieldfroms.append(node)
-            elif isinstance(node, ast.Call):
-                callee = _callee_of(node)
-                if callee == "spawn" and node.args:
-                    fn.spawn_sites.append(node)
-                elif callee == "after" and len(node.args) >= 2:
-                    fn.after_sites.append(node)
 
     # -- method resolution -------------------------------------------------
 
@@ -319,6 +451,10 @@ class ProjectIndex:
 
     # -- may-yield ---------------------------------------------------------
 
+    def _suspends_at(self, yf: ast.YieldFrom, fn: FunctionInfo) -> bool:
+        targets = self.resolve_call(yf.value, fn)
+        return targets is None or any(self._may_yield[t] for t in targets)
+
     def _solve_may_yield(self) -> None:
         may = self._may_yield
         for fn in self.functions.values():
@@ -327,46 +463,20 @@ class ProjectIndex:
         while changed:
             changed = False
             for fn in self.functions.values():
-                if may[fn]:
-                    continue
-                for yf in fn.yieldfroms:
-                    targets = self.resolve_call(yf.value, fn)
-                    if targets is None or any(may[t] for t in targets):
-                        may[fn] = True
-                        changed = True
-                        break
+                if not may[fn] and any(self._suspends_at(yf, fn) for yf in fn.yieldfroms):
+                    may[fn] = changed = True
 
     def may_yield(self, fn: FunctionInfo) -> bool:
         return self._may_yield[fn]
-
-    def function_at(self, node: ast.AST) -> Optional[FunctionInfo]:
-        return self._fn_of_node.get(node)
 
     def suspension_points(self, fn: FunctionInfo) -> List[ast.AST]:
         """Every expression in ``fn`` at which control may leave the
         function: valued yields, plus yield-froms whose callee may
         yield (or is unresolvable)."""
-        points: List[ast.AST] = []
-        for node in ast.walk(fn.node):
-            owner = self.function_at(node)
-            if owner is not None and owner is not fn:
-                continue
-            if isinstance(node, ast.FunctionDef) and node is not fn.node:
-                continue
-            if isinstance(node, ast.Yield) and node.value is not None:
-                if self._fn_of_owner(fn, node):
-                    points.append(node)
-            elif isinstance(node, ast.YieldFrom):
-                if not self._fn_of_owner(fn, node):
-                    continue
-                targets = self.resolve_call(node.value, fn)
-                if targets is None or any(self._may_yield[t] for t in targets):
-                    points.append(node)
+        points: List[ast.AST] = list(fn.valued_yields)
+        points += [yf for yf in fn.yieldfroms if self._suspends_at(yf, fn)]
         points.sort(key=lambda n: (n.lineno, n.col_offset))
         return points
-
-    def _fn_of_owner(self, fn: FunctionInfo, node: ast.AST) -> bool:
-        return fn.module.enclosing_function(node) is fn.node
 
     # -- shared-accessor heuristic (used by the atomicity pass) ------------
 
@@ -380,12 +490,9 @@ class ProjectIndex:
         memo = self._accessor_memo
         if fn in memo:
             return memo[fn]
-        memo[fn] = False  # cycle guard
         self_rooted = set()
         result = False
         for node in ast.walk(fn.node):
-            if self.function_at(node) not in (None, fn):
-                continue
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name) and _rooted_at_self(node.value):
@@ -402,30 +509,32 @@ class ProjectIndex:
 
 def _rooted_at_self(node: ast.AST) -> bool:
     """Is this expression an attribute/subscript/call chain on ``self``?"""
-    cur = node
-    while True:
-        if isinstance(cur, ast.Attribute):
-            cur = cur.value
-        elif isinstance(cur, ast.Subscript):
-            cur = cur.value
-        elif isinstance(cur, ast.Call):
-            cur = cur.func
-        elif isinstance(cur, ast.Name):
-            return cur.id == "self"
-        else:
-            return False
+    return chain(node, through=(ast.Subscript, ast.Call))[0] == "self"
+
+
+def iter_py_files(paths: Sequence[str]) -> List[str]:
+    out = []
+    for path in paths:
+        if os.path.isfile(path):
+            if path.endswith(".py"):
+                out.append(path)
+            continue
+        for dirpath, dirnames, filenames in os.walk(path):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for name in sorted(filenames):
+                if name.endswith(".py"):
+                    out.append(os.path.join(dirpath, name))
+    return out
 
 
 def index_paths(
     paths: Sequence[str], package_root: Optional[str] = None
 ) -> ProjectIndex:
-    """Parse every ``.py`` under ``paths`` into one :class:`ProjectIndex`."""
+    """Read and parse every ``.py`` under ``paths``, once, into one
+    :class:`ProjectIndex`.  A file that does not parse stays in the
+    index as an empty module carrying its ``syntax_error``."""
     modules = []
     for path in iter_py_files(paths):
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        try:
-            modules.append(Module(path, source, package_root=package_root))
-        except SyntaxError:
-            continue  # the linter reports PARSE findings separately
+            modules.append(Module(path, fh.read(), package_root=package_root))
     return ProjectIndex(modules)

@@ -20,7 +20,11 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from ..document import write_json
-from .linter import Finding, lint_paths
+from .baseline import apply_baseline, load_baseline
+from .callgraph import index_paths
+from .linter import RULES, Finding, findings, normalize_path
+from .report import lint_document
+from .table41 import conformance_findings
 
 __all__ = ["register", "run_lint", "default_target", "discover_baseline"]
 
@@ -60,42 +64,34 @@ def run_lint(
         paths = list(paths)
         package_root = None
 
+    index = index_paths(paths, package_root=package_root)
     passes = ["det-sim"]
-    findings: List[Finding] = lint_paths(paths, package_root=package_root)
-
-    deep: List[Finding] = []
-    if atomicity or seam:
-        from .callgraph import index_paths
-
-        index = index_paths(paths, package_root=package_root)
-        if atomicity:
-            from .atomicity import atomicity_findings
-
-            passes.append("atomicity")
-            deep.extend(atomicity_findings(index))
-        if seam:
-            from .seam import seam_findings
-
-            passes.append("seam")
-            deep.extend(seam_findings(index))
+    if atomicity:
+        passes.append("atomicity")
+    if seam:
+        passes.append("seam")
+    shallow = findings(index, "det-sim")
+    deep: List[Finding] = [f for name in passes[1:] for f in findings(index, name)]
 
     baseline_path = baseline
     if baseline_path is None and not no_baseline and (atomicity or seam):
         baseline_path = discover_baseline()
     baselined: List[Finding] = []
     stale: List[Dict] = []
-    if baseline_path is not None and deep:
-        from .baseline import apply_baseline, load_baseline
-
-        doc = load_baseline(baseline_path)
-        deep, baselined, stale = apply_baseline(deep, doc)
-    elif baseline_path is not None:
-        from .baseline import load_baseline
-
-        stale = list(load_baseline(baseline_path).get("findings", []))
+    if baseline_path is not None:
+        deep, baselined, unmatched = apply_baseline(deep, load_baseline(baseline_path))
+        # an entry this run could not have matched is not stale: its
+        # rule's pass must have run and its file must have been linted
+        linted = {normalize_path(module.path) for module in index.modules}
+        stale = [
+            entry
+            for entry in unmatched
+            if RULES[entry["rule"]].pass_name in passes
+            and ("path" not in entry or entry["path"] in linted)
+        ]
 
     active = sorted(
-        findings + deep, key=lambda f: (f.path, f.line, f.col, f.rule)
+        shallow + deep, key=lambda f: (f.path, f.line, f.col, f.rule)
     )
     for finding in active:
         print(finding.format(), file=out)
@@ -112,13 +108,9 @@ def run_lint(
             file=out,
         )
 
-    conformance_diffs: List[str] = []
-    if conformance:
-        from .table41 import conformance_findings
-
-        conformance_diffs = conformance_findings()
-        for diff in conformance_diffs:
-            print("state_table: error [TBL41] %s" % diff, file=out)
+    conformance_diffs: List[str] = conformance_findings() if conformance else []
+    for diff in conformance_diffs:
+        print("state_table: error [TBL41] %s" % diff, file=out)
 
     errors = sum(1 for f in active if f.severity == "error") + len(conformance_diffs)
     warnings = sum(1 for f in active if f.severity == "warning") + len(stale)
@@ -129,8 +121,6 @@ def run_lint(
     )
 
     if json_out:
-        from .report import lint_document
-
         doc = lint_document(
             paths=paths,
             passes=passes + (["conformance"] if conformance else []),

@@ -1,18 +1,14 @@
-"""A sim-aware linter built on :mod:`ast` (stdlib only).
+"""The sim-aware linter: one rule table, one emit path (stdlib only).
 
-Two families of passes protect the repository's core invariants:
+Every static pass consumes one :class:`~repro.analysis.callgraph.ProjectIndex`
+(each file parsed once, walked once) and yields raw findings as
+``(rule, module, node, message, function, subject)``; this module is the
+only place those become :class:`Finding` objects.  :data:`RULES` is the
+only place a severity, or the pass a rule belongs to, is written down —
+docs/ANALYSIS.md's catalogue is checked against it.
 
-* **determinism** (``DET*``) — the whole point of the harness is that a
-  seed reproduces a run bit-for-bit, so nothing in ``src/repro`` may
-  consult the process-global RNG, the wall clock, or OS entropy, and
-  scheduler-adjacent code may not depend on set iteration order;
-* **sim discipline** (``SIM*``) — process coroutines must yield
-  waitables, spawn (not call) other process functions, and never touch
-  real blocking I/O.
-
-Findings carry a rule id, location, and message.  A finding is
-suppressed by a comment on the flagged line, with a justifying reason
-after an em-dash (or ``--``)::
+A finding is suppressed by a comment on the flagged line, with a
+justifying reason after an em-dash (or ``--``)::
 
     x = random.random()  # lint: ok — seeding the demo, not the sim
     y = time.time()      # lint: ok=DET002 — wall-clock bench harness
@@ -20,25 +16,30 @@ after an em-dash (or ``--``)::
 The bare form suppresses every rule on that line; the ``=`` form names
 the rule ids it covers.  A suppression without a reason draws a
 ``SUP001`` warning (which only an explicit ``ok=SUP001`` can silence —
-a bare ``ok`` never suppresses its own audit).  See docs/ANALYSIS.md
-for the rule catalogue.
+a bare ``ok`` never suppresses its own audit).
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from . import atomicity, seam
+from .callgraph import Module, ProjectIndex, index_paths
+from .rules_determinism import DETERMINISM_CHECKS
+from .rules_sim import SIM_CHECKS
 
 __all__ = [
     "Finding",
-    "Module",
-    "Rule",
+    "RULES",
     "lint_paths",
     "lint_source",
-    "iter_py_files",
+    "raw_findings",
+    "findings",
+    "flagged_regions",
+    "site_in_regions",
     "finding_fingerprint",
 ]
 
@@ -69,6 +70,35 @@ class Finding:
         )
 
 
+class Rule(NamedTuple):
+    severity: str
+    #: the pass that reports it: a key of ``_PASSES``
+    pass_name: str
+    summary: str
+
+
+RULES: Dict[str, Rule] = {
+    "PARSE": Rule("error", "det-sim", "the file does not parse"),
+    "SUP001": Rule("warning", "det-sim", "a '# lint: ok' suppression with no reason"),
+    "DET001": Rule("error", "det-sim", "call through the process-global random module"),
+    "DET002": Rule("error", "det-sim", "wall-clock time or OS entropy"),
+    "DET003": Rule("error", "det-sim", "iteration over a set in model code"),
+    "DET004": Rule("error", "det-sim", "an RNG constructed without a seed"),
+    "SIM001": Rule("error", "det-sim", "a process yields a non-float literal"),
+    "SIM002": Rule("error", "det-sim", "a generator function called and discarded"),
+    "SIM003": Rule("error", "det-sim", "real blocking I/O inside a process"),
+    "SIM004": Rule("warning", "det-sim", "an event failed with no defuse() in sight"),
+    "ATOM001": Rule("error", "atomicity", "read, unguarded yield, write: lost update"),
+    "ATOM002": Rule("error", "atomicity", "write, unguarded yield, write: torn update"),
+    "ATOM003": Rule("warning", "atomicity", "write, unguarded yield, read: stale re-read"),
+    "ATOM004": Rule("warning", "atomicity", "snapshot loop yields while its container mutates"),
+    "SEAM001": Rule("error", "seam", "policy hook or server proc_* of the wrong shape"),
+    "SEAM002": Rule("error", "seam", "crash-recovery declaration drift or rpc.call bypass"),
+    "SEAM003": Rule("error", "seam", "server overrides host lifecycle or resets crash state"),
+    "SEAM004": Rule("error", "seam", "model code reaches past the probe seam"),
+}
+
+
 def normalize_path(path: str) -> str:
     """A checkout-independent form of ``path`` (from ``repro/`` down)."""
     norm = path.replace(os.sep, "/")
@@ -88,172 +118,7 @@ def finding_fingerprint(rule: str, path: str, function: str, subject: str) -> st
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-#: subpackages whose code runs inside (or feeds) the event loop; set
-#: iteration order there becomes event order, hence run-to-run drift
-SCHEDULER_ADJACENT = (
-    "sim",
-    "host",
-    "net",
-    "snfs",
-    "nfs",
-    "rfs",
-    "kent",
-    "lockd",
-    "storage",
-    "vfs",
-    "faults",
-)
-
-
-def _parse_suppressions(
-    source: str,
-) -> Tuple[Dict[int, Optional[Set[str]]], Dict[int, str]]:
-    """Parse ``# lint: ok[=RULES][ — reason]`` comments.
-
-    Returns (line -> None (suppress all) or rule-id set,
-    line -> justifying reason, "" when absent).
-    """
-    import io
-    import tokenize
-
-    out: Dict[int, Optional[Set[str]]] = {}
-    reasons: Dict[int, str] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            text = tok.string.lstrip("#").strip()
-            if not text.startswith("lint:"):
-                continue
-            directive = text[len("lint:"):].strip()
-            reason = ""
-            for sep in ("—", "--"):  # em-dash or ASCII fallback
-                if sep in directive:
-                    directive, reason = directive.split(sep, 1)
-                    directive = directive.strip()
-                    reason = reason.strip()
-                    break
-            if directive == "ok":
-                out[tok.start[0]] = None
-                reasons[tok.start[0]] = reason
-            elif directive.startswith("ok="):
-                rules = {r.strip() for r in directive[3:].split(",") if r.strip()}
-                out[tok.start[0]] = rules
-                reasons[tok.start[0]] = reason
-    except tokenize.TokenError:
-        pass
-    return out, reasons
-
-
-class Module:
-    """One parsed source file plus the metadata rules need."""
-
-    def __init__(self, path: str, source: str, package_root: Optional[str] = None):
-        self.path = path
-        self.source = source
-        self.tree = ast.parse(source, filename=path)
-        self.suppressions, self.suppression_reasons = _parse_suppressions(source)
-        # parent links (ast has none): node -> enclosing node
-        self.parents: Dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(node):
-                self.parents[child] = node
-        # where does this file sit relative to the package?
-        self.subpackage = self._subpackage(path, package_root)
-
-    @staticmethod
-    def _subpackage(path: str, package_root: Optional[str]) -> Optional[str]:
-        norm = path.replace(os.sep, "/")
-        marker = "/repro/"
-        if package_root is not None:
-            root = package_root.replace(os.sep, "/").rstrip("/") + "/"
-            if norm.startswith(root):
-                rel = norm[len(root):]
-                return rel.split("/", 1)[0] if "/" in rel else ""
-        if marker in norm:
-            rel = norm.rsplit(marker, 1)[1]
-            return rel.split("/", 1)[0] if "/" in rel else ""
-        return None
-
-    @property
-    def scheduler_adjacent(self) -> bool:
-        # unknown provenance (fixtures, tests): apply every rule
-        if self.subpackage is None:
-            return True
-        return self.subpackage in SCHEDULER_ADJACENT
-
-    # -- helpers for rules -------------------------------------------------
-
-    def enclosing_function(self, node: ast.AST):
-        cur = self.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cur
-            cur = self.parents.get(cur)
-        return None
-
-    def enclosing_class(self, node: ast.AST):
-        cur = self.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, ast.ClassDef):
-                return cur
-            cur = self.parents.get(cur)
-        return None
-
-    def is_generator(self, fn) -> bool:
-        """Does this function contain a yield of its own?"""
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                owner = self.enclosing_function(node)
-                if owner is fn:
-                    return True
-        return False
-
-    def generator_functions(self) -> List:
-        return [
-            node
-            for node in ast.walk(self.tree)
-            if isinstance(node, ast.FunctionDef) and self.is_generator(node)
-        ]
-
-    def suppressed(self, rule: str, line: int) -> bool:
-        if line not in self.suppressions:
-            return False
-        rules = self.suppressions[line]
-        if rule == "SUP001":
-            # the suppression-audit rule cannot be silenced by the very
-            # bare `ok` it is auditing; only an explicit ok=SUP001 can
-            return rules is not None and rule in rules
-        return rules is None or rule in rules
-
-
-class Rule:
-    """Base class: subclasses set ``id``/``severity`` and implement check."""
-
-    id = "RULE000"
-    severity = "error"
-
-    def check(self, module: Module) -> Iterable[Tuple[ast.AST, str]]:
-        raise NotImplementedError
-
-    def run(self, module: Module) -> List[Finding]:
-        out = []
-        for node, message in self.check(module):
-            line = getattr(node, "lineno", 0)
-            if module.suppressed(self.id, line):
-                continue
-            out.append(
-                Finding(
-                    rule=self.id,
-                    path=module.path,
-                    line=line,
-                    col=getattr(node, "col_offset", 0),
-                    message=message,
-                    severity=self.severity,
-                )
-            )
-        return out
+# -- the det-sim pass: per-module checkers ------------------------------------
 
 
 class _Anchor:
@@ -264,90 +129,118 @@ class _Anchor:
         self.col_offset = col_offset
 
 
-class SuppressionReasonRule(Rule):
-    """SUP001: every ``# lint: ok`` must carry a ``— reason``.
+def _parse_error(module: Module) -> Iterator[Tuple]:
+    exc = module.syntax_error
+    if exc is not None:
+        at = _Anchor(exc.lineno or 0, exc.offset or 0)
+        yield "PARSE", at, "could not parse: %s" % exc.msg
 
-    A suppression is a reviewed decision; the reason is the review.
+
+def _suppression_reasons(module: Module) -> Iterator[Tuple]:
+    """A suppression is a reviewed decision; the reason is the review.
     Reasonless suppressions rot — nobody can tell a considered waiver
-    from a silenced mistake.
-    """
-
-    id = "SUP001"
-    severity = "warning"
-
-    def check(self, module: Module) -> Iterable[Tuple[ast.AST, str]]:
-        for line in sorted(module.suppressions):
-            if module.suppression_reasons.get(line, ""):
-                continue
-            rules = module.suppressions[line]
-            what = "ok" if rules is None else "ok=%s" % ",".join(sorted(rules))
-            yield (
-                _Anchor(line),
-                "suppression '# lint: %s' has no justifying '— reason'" % what,
-            )
-
-
-def default_rules() -> List[Rule]:
-    from .rules_determinism import DETERMINISM_RULES
-    from .rules_sim import SIM_RULES
-
-    rules: List[Rule] = [cls() for cls in DETERMINISM_RULES + SIM_RULES]
-    rules.append(SuppressionReasonRule())
-    return rules
-
-
-def iter_py_files(paths: Sequence[str]) -> List[str]:
-    out = []
-    for path in paths:
-        if os.path.isfile(path):
-            if path.endswith(".py"):
-                out.append(path)
+    from a silenced mistake."""
+    for line, (rules, reason) in sorted(module.suppressions.items()):
+        if reason:
             continue
-        for dirpath, dirnames, filenames in os.walk(path):
-            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-            for name in sorted(filenames):
-                if name.endswith(".py"):
-                    out.append(os.path.join(dirpath, name))
-    return out
+        what = "ok" if rules is None else "ok=%s" % ",".join(sorted(rules))
+        yield (
+            "SUP001",
+            _Anchor(line),
+            "suppression '# lint: %s' has no justifying '— reason'" % what,
+        )
+
+
+_MODULE_CHECKS = (
+    (_parse_error,) + DETERMINISM_CHECKS + SIM_CHECKS + (_suppression_reasons,)
+)
+
+
+def _det_sim(index: ProjectIndex) -> Iterator[Tuple]:
+    for module in index.modules:
+        for check in _MODULE_CHECKS:
+            for rule, node, message in check(module):
+                yield rule, module, node, message, module.qualname_at(node), ""
+
+
+_PASSES = {"det-sim": _det_sim, "atomicity": atomicity.check, "seam": seam.check}
+
+
+# -- the one emit path ---------------------------------------------------------
+
+
+def raw_findings(index: ProjectIndex, pass_name: str) -> List[Finding]:
+    """One pass's findings **before** suppression, in report order.
+
+    Each pass runs at most once per index: the list is kept on
+    ``index.raw`` for whoever asks next.
+    """
+    if pass_name not in index.raw:
+        out = []
+        for rule, module, node, message, function, subject in _PASSES[pass_name](index):
+            out.append(
+                Finding(
+                    rule=rule,
+                    path=module.path,
+                    line=getattr(node, "lineno", 0),
+                    col=getattr(node, "col_offset", 0),
+                    message=message,
+                    severity=RULES[rule].severity,
+                    function=function,
+                    subject=subject,
+                    fingerprint=finding_fingerprint(rule, module.path, function, subject),
+                )
+            )
+        out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        index.raw[pass_name] = out
+    return index.raw[pass_name]
+
+
+def findings(index: ProjectIndex, pass_name: str) -> List[Finding]:
+    """One pass's findings with ``# lint: ok`` suppressions applied."""
+    return [
+        f
+        for f in raw_findings(index, pass_name)
+        if not index.by_path[f.path].suppressed(f.rule, f.line)
+    ]
+
+
+def lint_paths(paths: Sequence[str], package_root: Optional[str] = None) -> List[Finding]:
+    """The determinism and sim-discipline findings for files or trees."""
+    return findings(index_paths(paths, package_root=package_root), "det-sim")
 
 
 def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[List[Rule]] = None,
-    package_root: Optional[str] = None,
+    source: str, path: str = "<string>", package_root: Optional[str] = None
 ) -> List[Finding]:
     module = Module(path, source, package_root=package_root)
-    findings: List[Finding] = []
-    for rule in rules if rules is not None else default_rules():
-        findings.extend(rule.run(module))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return findings(ProjectIndex([module]), "det-sim")
 
 
-def lint_paths(
-    paths: Sequence[str],
-    rules: Optional[List[Rule]] = None,
-    package_root: Optional[str] = None,
-) -> List[Finding]:
-    rules = rules if rules is not None else default_rules()
-    findings: List[Finding] = []
-    for path in iter_py_files(paths):
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        try:
-            findings.extend(
-                lint_source(source, path=path, rules=rules, package_root=package_root)
-            )
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    rule="PARSE",
-                    path=path,
-                    line=exc.lineno or 0,
-                    col=exc.offset or 0,
-                    message="could not parse: %s" % exc.msg,
-                )
-            )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+# -- static <-> runtime cross-validation -----------------------------------------
+
+
+def flagged_regions(index: ProjectIndex) -> List[Tuple[str, str, int, int]]:
+    """Function regions with at least one *raw* ATOM finding.
+
+    Suppressed and baselined findings still contribute a region: a
+    suppression documents a reviewed hazard, it does not unmark the
+    code — this is what the static-vs-runtime cross-validation
+    contract checks SimTSan findings against.
+    """
+    flagged = dict.fromkeys(
+        (f.path, f.function) for f in raw_findings(index, "atomicity")
+    )
+    return [index.functions[key].region() for key in flagged]
+
+
+def site_in_regions(
+    site: Tuple[str, int], regions: Sequence[Tuple[str, str, int, int]]
+) -> bool:
+    """Is a runtime (filename, lineno) inside any flagged region?"""
+    filename, lineno = site
+    real = os.path.realpath(filename)
+    for path, _qualname, first, last in regions:
+        if os.path.realpath(path) == real and first <= lineno <= last:
+            return True
+    return False

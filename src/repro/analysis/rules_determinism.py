@@ -1,197 +1,140 @@
-"""Determinism rules (DET001-DET004).
+"""Determinism checkers.
 
 One seed must reproduce a run bit-for-bit (that is what makes the
 fault-injection harness and the paper-table regression tests
 trustworthy), so simulation code may not consult ambient mutable state:
 the process-global RNG, the wall clock, OS entropy, or hash-order
 artifacts like set iteration.
+
+Each checker reads the module's per-type node buckets and yields
+``(rule, node, message)``; ids and severities live in
+:data:`repro.analysis.linter.RULES`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Tuple
+from typing import Iterator, Tuple
 
-from .linter import Module, Rule
+from .callgraph import Module, dotted
 
-__all__ = ["DETERMINISM_RULES"]
+__all__ = ["DETERMINISM_CHECKS"]
+
+Hit = Tuple[str, ast.AST, str]
+
+_RNG_CONSTRUCTORS = {"Random", "SystemRandom"}  # DET004 vets their seeding
+
+_WALL_CLOCK = {
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "os.urandom",
+    "os.getrandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+}
+_WALL_CLOCK_SUFFIX = (
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.today",
+    "date.today",
+)
+
+_SET_METHODS = {
+    "union",
+    "intersection",
+    "difference",
+    "symmetric_difference",
+}
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for an Attribute/Name chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class GlobalRandomRule(Rule):
-    """DET001: calls through the module-global ``random`` instance.
-
-    ``random.random()``, ``random.choice()``, ``random.seed()`` & co.
+def global_random(module: Module) -> Iterator[Hit]:
+    """``random.random()``, ``random.choice()``, ``random.seed()`` & co.
     share one hidden global state across the whole process: two
     experiments in one run perturb each other, and library imports can
     shift the stream between versions.  Construct a seeded
     ``random.Random(seed)`` and pass it down instead.
     """
-
-    id = "DET001"
-
-    _ALLOWED = {"Random", "SystemRandom"}  # constructors; DET004 vets them
-
-    def check(self, module: Module) -> Iterable[Tuple[ast.AST, str]]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "random"
-                and func.attr not in self._ALLOWED
-            ):
-                yield node, (
-                    "call to the process-global RNG (random.%s); use a "
-                    "seeded random.Random instance plumbed from the "
-                    "experiment seed" % func.attr
-                )
-
-
-class WallClockRule(Rule):
-    """DET002: wall-clock time or OS entropy in simulation code.
-
-    Simulated time is ``sim.now``; real time and entropy differ run to
-    run and machine to machine.
-    """
-
-    id = "DET002"
-
-    _EXACT = {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-    }
-    _SUFFIX = (
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "date.today",
-    )
-
-    def check(self, module: Module) -> Iterable[Tuple[ast.AST, str]]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            hit = (
-                dotted in self._EXACT
-                or any(dotted == s or dotted.endswith("." + s) for s in self._SUFFIX)
-                or dotted.startswith("secrets.")
+    for node in module.by_type[ast.Call]:
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "random"
+            and func.attr not in _RNG_CONSTRUCTORS
+        ):
+            yield "DET001", node, (
+                "call to the process-global RNG (random.%s); use a "
+                "seeded random.Random instance plumbed from the "
+                "experiment seed" % func.attr
             )
-            if hit:
-                yield node, (
-                    "%s() reads the wall clock or OS entropy; simulation "
-                    "code must use sim.now / a seeded RNG" % dotted
-                )
 
 
-class SetIterationRule(Rule):
-    """DET003: iterating a set in scheduler-adjacent code.
+def wall_clock(module: Module) -> Iterator[Hit]:
+    """Simulated time is ``sim.now``; real time and entropy differ run
+    to run and machine to machine."""
+    for node in module.by_type[ast.Call]:
+        name = dotted(node.func)
+        if name is not None and (
+            name in _WALL_CLOCK
+            or any(name == s or name.endswith("." + s) for s in _WALL_CLOCK_SUFFIX)
+            or name.startswith("secrets.")
+        ):
+            yield "DET002", node, (
+                "%s() reads the wall clock or OS entropy; simulation "
+                "code must use sim.now / a seeded RNG" % name
+            )
 
-    Set iteration order follows hash seeds and insertion history; when
-    the loop body schedules events or sends RPCs, that order becomes
-    event order and runs stop being reproducible.  Iterate a list/dict
-    (insertion-ordered) or wrap in ``sorted()``.
-    """
 
-    id = "DET003"
-
-    _SET_METHODS = {
-        "union",
-        "intersection",
-        "difference",
-        "symmetric_difference",
-    }
-
-    def _is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
+def _is_set_expr(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
             return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in self._SET_METHODS:
-                return True
-        return False
-
-    def check(self, module: Module) -> Iterable[Tuple[ast.AST, str]]:
-        if not module.scheduler_adjacent:
-            return
-        for node in ast.walk(module.tree):
-            iters = []
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if self._is_set_expr(it):
-                    yield it, (
-                        "iteration over a set: order depends on hashing, "
-                        "which leaks into event order; iterate a list/dict "
-                        "or sorted(...) instead"
-                    )
+        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+            return True
+    return False
 
 
-class UnseededRandomRule(Rule):
-    """DET004: an RNG constructed without a seed.
-
-    ``random.Random()`` seeds itself from OS entropy, and
-    ``random.SystemRandom`` cannot be seeded at all.
+def set_iteration(module: Module) -> Iterator[Hit]:
+    """Set iteration order follows hash seeds and insertion history;
+    when the loop body schedules events or sends RPCs, that order
+    becomes event order and runs stop being reproducible.  Model code
+    only: iterate a list/dict (insertion-ordered) or wrap in
+    ``sorted()``.
     """
-
-    id = "DET004"
-
-    def check(self, module: Module) -> Iterable[Tuple[ast.AST, str]]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            name = dotted.rsplit(".", 1)[-1]
-            if name == "SystemRandom" and dotted in ("SystemRandom", "random.SystemRandom"):
-                yield node, (
-                    "SystemRandom draws from OS entropy and cannot be "
-                    "seeded; use random.Random(seed)"
-                )
-            elif (
-                name == "Random"
-                and dotted in ("Random", "random.Random")
-                and not node.args
-                and not node.keywords
-            ):
-                yield node, (
-                    "random.Random() with no seed falls back to OS "
-                    "entropy; pass the experiment seed explicitly"
-                )
+    if not module.model_code:
+        return
+    # a for-loop and each generator of a comprehension both carry .iter
+    for node in module.by_type[ast.For] + module.by_type[ast.comprehension]:
+        if _is_set_expr(node.iter):
+            yield "DET003", node.iter, (
+                "iteration over a set: order depends on hashing, "
+                "which leaks into event order; iterate a list/dict "
+                "or sorted(...) instead"
+            )
 
 
-DETERMINISM_RULES = [
-    GlobalRandomRule,
-    WallClockRule,
-    SetIterationRule,
-    UnseededRandomRule,
-]
+def unseeded_random(module: Module) -> Iterator[Hit]:
+    """``random.Random()`` seeds itself from OS entropy, and
+    ``random.SystemRandom`` cannot be seeded at all."""
+    for node in module.by_type[ast.Call]:
+        name = dotted(node.func)
+        if name in ("SystemRandom", "random.SystemRandom"):
+            yield "DET004", node, (
+                "SystemRandom draws from OS entropy and cannot be "
+                "seeded; use random.Random(seed)"
+            )
+        elif name in ("Random", "random.Random") and not node.args and not node.keywords:
+            yield "DET004", node, (
+                "random.Random() with no seed falls back to OS "
+                "entropy; pass the experiment seed explicitly"
+            )
+
+
+DETERMINISM_CHECKS = (global_random, wall_clock, set_iteration, unseeded_random)

@@ -3,53 +3,39 @@
 PR 4 split every protocol into mechanism (client/server core) and
 policy (a :class:`~repro.proto.policy.ConsistencyPolicy` subclass);
 PR 6 added the crash-recovery seam on top.  The contract is implicit
-in the base classes — this pass makes it checkable:
+in the base classes — this pass makes it checkable.  In brief
+(docs/ANALYSIS.md has the SEAM rule catalogue):
 
-``SEAM001`` (error) — hook conformance.
-    A policy override of a base hook must be callable with the base
-    hook's positional arity (variadic base hooks set a minimum), and
-    overrides of coroutine hooks must be generator functions (the
-    client drives them with ``yield from``; a plain function would
-    raise at dispatch).  Server-side, every ``proc_*`` procedure must
-    take the caller's address ``src`` as its first argument and be a
-    generator.
-
-``SEAM002`` (error) — crash-recovery declaration.
-    A policy that sets ``crash_recovery = True`` must override
-    :meth:`reclaim`; a policy overriding ``reclaim`` must declare
-    ``crash_recovery = True`` (the seam's capability flag).  And no
-    policy method may call ``*.rpc.call(...)`` directly except
-    ``call`` itself and the recovery path (``reclaim``,
-    ``on_server_recovering``) — anything else bypasses the hard-mount
-    retry loop and its :class:`ServerRecovering` handling.
-
-``SEAM003`` (error) — server table discipline.
-    Protocol servers must not override ``on_host_crash``/
-    ``on_host_reboot`` (the core owns host lifecycle; protocols hook
-    ``on_server_crash``/``on_server_reboot``).  Attributes the crash
-    path wholesale-resets (``self.x = ...`` or ``self.x.clear()``)
-    are *crash-state* attributes: resetting one outside ``__init__``
-    and the crash/reboot hooks silently re-runs crash semantics on a
-    live server.
-
-``SEAM004`` (error) — one probe seam.
-    Model code reports through ``sim.probe`` and nothing else: reading
-    ``.tracer``/``.metrics``/``.obs``/``.sanitizer`` off a simulator, or
-    importing ``repro.trace``, ``repro.metrics.registry``, ``repro.obs``
-    or ``repro.analysis``, is allowed only in ``sim/engine.py`` (which
-    owns the slots) and the instrumentation and harness packages.
+* hook conformance — a policy override must be callable with the base
+  hook's positional arity (variadic base hooks set a minimum), and
+  overrides of coroutine hooks must be generator functions (the client
+  drives them with ``yield from``; a plain function would raise at
+  dispatch).  Server-side, every ``proc_*`` procedure takes the
+  caller's address ``src`` first and is a generator;
+* crash-recovery declaration — ``crash_recovery = True`` and a
+  :meth:`reclaim` override travel together, and no policy method calls
+  ``*.rpc.call(...)`` directly except ``call`` itself and the recovery
+  path — anything else bypasses the hard-mount retry loop and its
+  :class:`ServerRecovering` handling;
+* server table discipline — the core owns host lifecycle (protocols
+  hook ``on_server_crash``/``on_server_reboot``), and attributes the
+  crash path wholesale-resets (``self.x = ...`` or ``self.x.clear()``)
+  are *crash-state*: resetting one outside ``__init__`` and the
+  crash/reboot hooks silently re-runs crash semantics on a live server;
+* one probe seam — model code reports through ``sim.probe`` and
+  nothing else; only ``sim/engine.py`` (which owns the slots) and the
+  harness packages may reach the observers themselves.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
-from .callgraph import ClassInfo, FunctionInfo, ProjectIndex
-from .linter import Finding, finding_fingerprint
+from .callgraph import ClassInfo, ProjectIndex, chain
 
-__all__ = ["seam_findings", "analyze_index"]
+__all__ = ["check"]
 
 POLICY_BASE = "ConsistencyPolicy"
 SERVER_BASE = "RemoteFsServer"
@@ -71,13 +57,10 @@ _HOST_HOOKS = ("on_host_crash", "on_host_reboot")
 
 _CRASH_HOOKS = ("on_server_crash", "on_server_reboot")
 
-#: what only sim/engine.py and _OBSERVER_OWNERS ("": the CLI glue) may reach
+#: what only sim/engine.py and the harness packages may reach
 _OBSERVER_REACH = re.compile(
     r"sim\.(tracer|metrics|obs|sanitizer)$"
     r"|repro\.(trace|metrics\.registry|obs|analysis)(\.|$)"
-)
-_OBSERVER_OWNERS = frozenset(
-    {"", "trace", "metrics", "obs", "analysis", "bench", "experiments", "nemesis", "parallel"}
 )
 
 
@@ -91,109 +74,48 @@ def _arity(node: ast.FunctionDef) -> Tuple[int, int, bool]:
     return required, len(positional), args.vararg is not None
 
 
-def _finding(
-    rule: str, fn_or_cls, path: str, function: str, subject: str, message: str
-) -> Finding:
-    node = fn_or_cls
-    return Finding(
-        rule=rule,
-        path=path,
-        line=getattr(node, "lineno", 0),
-        col=getattr(node, "col_offset", 0),
-        message=message,
-        severity="error",
-        function=function,
-        subject=subject,
-        fingerprint=finding_fingerprint(rule, path, function, subject),
-    )
-
-
-def _is_generator_def(module, node: ast.FunctionDef) -> bool:
-    return module.is_generator(node)
-
-
-def _class_attr_in_mro(
-    index: ProjectIndex, cls: ClassInfo, name: str, stop_at: str
-) -> Optional[ast.AST]:
-    """The class-level assignment of ``name`` below ``stop_at``."""
+def _below_base(index: ProjectIndex, cls: ClassInfo, table: str, name: str):
+    """``name`` in the ``table`` (``"assigns"`` or ``"methods"``) of
+    ``cls`` or of a base class below :data:`POLICY_BASE`, else None."""
     for info in index.mro(cls):
-        if info.name == stop_at:
+        if info.name == POLICY_BASE:
             return None
-        if name in info.assigns:
-            return info.assigns[name]
+        if name in getattr(info, table):
+            return getattr(info, table)[name]
     return None
 
 
-def _truthy_literal(node: Optional[ast.AST]) -> bool:
-    return isinstance(node, ast.Constant) and bool(node.value)
-
-
-def _overrides_in_mro(
-    index: ProjectIndex, cls: ClassInfo, name: str, stop_at: str
-) -> Optional[FunctionInfo]:
-    for info in index.mro(cls):
-        if info.name == stop_at:
-            return None
-        if name in info.methods:
-            return info.methods[name]
-    return None
-
-
-def _dotted_tail(node: ast.AST, depth: int) -> List[str]:
-    """The last ``depth`` attribute names of a dotted chain."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute) and len(parts) < depth:
-        parts.append(cur.attr)
-        cur = cur.value
-    parts.reverse()
-    return parts
-
-
-def analyze_index(index: ProjectIndex) -> List[Finding]:
-    """Raw SEAM findings over the whole index, **before** suppression."""
-    findings: List[Finding] = []
-    findings.extend(_check_policies(index))
-    findings.extend(_check_servers(index))
-    findings.extend(_check_probe_seam(index))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+def check(index: ProjectIndex) -> Iterator[Tuple]:
+    """The seam pass: raw SEAM findings over the whole index."""
+    yield from _check_policies(index)
+    yield from _check_servers(index)
+    yield from _check_probe_seam(index)
 
 
 # -- policies --------------------------------------------------------------
 
 
-def _policy_bases(index: ProjectIndex) -> List[ClassInfo]:
-    return index.classes.get(POLICY_BASE, [])
-
-
-def _check_policies(index: ProjectIndex) -> Iterable[Finding]:
-    bases = _policy_bases(index)
+def _check_policies(index: ProjectIndex) -> Iterator[Tuple]:
+    bases = index.classes.get(POLICY_BASE, [])
     if not bases:
-        return []
-    out: List[Finding] = []
+        return
     base_methods = {}
     for base in bases:
         for name, fn in base.methods.items():
             base_methods.setdefault(name, fn)
     for cls in index.subclasses_of(POLICY_BASE):
-        out.extend(_check_policy_hooks(index, cls, base_methods))
-        out.extend(_check_crash_recovery(index, cls))
+        yield from _check_policy_hooks(cls, base_methods)
+        yield from _check_crash_recovery(index, cls)
     # the rpc-bypass audit covers the bases too (call is exempt by name)
     for cls in bases + index.subclasses_of(POLICY_BASE):
-        out.extend(_check_rpc_bypass(cls))
-    return out
+        yield from _check_rpc_bypass(cls)
 
 
-def _check_policy_hooks(
-    index: ProjectIndex, cls: ClassInfo, base_methods
-) -> Iterable[Finding]:
-    path = cls.module.path
+def _check_policy_hooks(cls: ClassInfo, base_methods) -> Iterator[Tuple]:
     for name, fn in sorted(cls.methods.items()):
         base_fn = base_methods.get(name)
         if base_fn is None or name.startswith("__"):
             continue
-        qual = fn.qualname
         b_req, b_max, b_var = _arity(base_fn.node)
         o_req, o_max, o_var = _arity(fn.node)
         if b_var:
@@ -201,231 +123,179 @@ def _check_policy_hooks(
             # protocol's own signature; it must still accept the
             # fixed prefix
             if o_max < b_req and not o_var:
-                yield _finding(
-                    "SEAM001", fn.node, path, qual, name,
+                yield (
+                    "SEAM001", cls.module, fn.node,
                     "override of variadic hook %s() accepts at most %d "
                     "positional arg(s); the seam passes at least %d"
                     % (name, o_max, b_req),
+                    fn.qualname, name,
                 )
-        else:
-            if o_req > b_req or (o_max < b_req and not o_var):
-                yield _finding(
-                    "SEAM001", fn.node, path, qual, name,
-                    "override of hook %s() cannot be called with the "
-                    "base signature's %d positional arg(s) "
-                    "(override requires %d, accepts at most %s)"
-                    % (name, b_req, o_req, "*" if o_var else o_max),
-                )
-        if name in _COROUTINE_HOOKS and not _is_generator_def(cls.module, fn.node):
-            yield _finding(
-                "SEAM001", fn.node, path, qual, name,
+        elif o_req > b_req or (o_max < b_req and not o_var):
+            yield (
+                "SEAM001", cls.module, fn.node,
+                "override of hook %s() cannot be called with the "
+                "base signature's %d positional arg(s) "
+                "(override requires %d, accepts at most %s)"
+                % (name, b_req, o_req, "*" if o_var else o_max),
+                fn.qualname, name,
+            )
+        if name in _COROUTINE_HOOKS and not fn.is_generator:
+            yield (
+                "SEAM001", cls.module, fn.node,
                 "%s() is a coroutine hook (driven by 'yield from') but "
                 "this override is not a generator function; use the "
                 "'return value; yield' idiom for non-blocking overrides"
                 % name,
+                fn.qualname, name,
             )
 
 
-def _check_crash_recovery(index: ProjectIndex, cls: ClassInfo) -> Iterable[Finding]:
-    path = cls.module.path
-    declares = _truthy_literal(
-        _class_attr_in_mro(index, cls, "crash_recovery", POLICY_BASE)
-    )
-    reclaim = _overrides_in_mro(index, cls, "reclaim", POLICY_BASE)
+def _check_crash_recovery(index: ProjectIndex, cls: ClassInfo) -> Iterator[Tuple]:
+    flag = _below_base(index, cls, "assigns", "crash_recovery")
+    declares = isinstance(flag, ast.Constant) and bool(flag.value)
+    reclaim = _below_base(index, cls, "methods", "reclaim")
     if declares and reclaim is None:
-        yield _finding(
-            "SEAM002", cls.node, path, cls.name, "crash_recovery",
+        yield (
+            "SEAM002", cls.module, cls.node,
             "%s declares crash_recovery = True but never overrides "
             "reclaim(): nothing reasserts its state after a server "
             "reboot" % cls.name,
+            cls.name, "crash_recovery",
         )
     if reclaim is not None and not declares and "reclaim" in cls.methods:
-        yield _finding(
-            "SEAM002", cls.methods["reclaim"].node, path,
-            cls.methods["reclaim"].qualname, "crash_recovery",
+        own = cls.methods["reclaim"]
+        yield (
+            "SEAM002", cls.module, own.node,
             "%s overrides reclaim() without declaring "
             "crash_recovery = True: the seam's capability flag and the "
             "recovery implementation must travel together" % cls.name,
+            own.qualname, "crash_recovery",
         )
 
 
-def _check_rpc_bypass(cls: ClassInfo) -> Iterable[Finding]:
-    path = cls.module.path
+def _check_rpc_bypass(cls: ClassInfo) -> Iterator[Tuple]:
     for name, fn in sorted(cls.methods.items()):
         if name in _RPC_EXEMPT:
             continue
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            if cls.module.enclosing_function(node) is not fn.node:
-                continue
-            tail = _dotted_tail(node.func, 2)
-            if tail == ["rpc", "call"]:
-                yield _finding(
-                    "SEAM002", node, path, fn.qualname, "rpc.call",
+        for node in fn.calls:
+            if chain(node.func)[1:][-2:] == ["rpc", "call"]:
+                yield (
+                    "SEAM002", cls.module, node,
                     "%s() calls rpc.call directly, bypassing "
                     "ConsistencyPolicy.call's hard-mount retry loop and "
                     "its ServerRecovering handling" % name,
+                    fn.qualname, "rpc.call",
                 )
 
 
 # -- servers ---------------------------------------------------------------
 
 
-def _check_servers(index: ProjectIndex) -> Iterable[Finding]:
+def _check_servers(index: ProjectIndex) -> Iterator[Tuple]:
     if SERVER_BASE not in index.classes:
-        return []
-    out: List[Finding] = []
+        return
     for cls in index.subclasses_of(SERVER_BASE):
-        out.extend(_check_server_procs(cls))
-        out.extend(_check_host_hooks(cls))
-        out.extend(_check_table_discipline(cls))
-    return out
+        yield from _check_server_procs(cls)
+        yield from _check_host_hooks(cls)
+        yield from _check_table_discipline(cls)
 
 
-def _check_server_procs(cls: ClassInfo) -> Iterable[Finding]:
-    path = cls.module.path
+def _check_server_procs(cls: ClassInfo) -> Iterator[Tuple]:
     for name, fn in sorted(cls.methods.items()):
         if not name.startswith("proc_"):
             continue
         args = [a.arg for a in fn.node.args.args]
         if len(args) < 2 or args[0] != "self" or args[1] != "src":
-            yield _finding(
-                "SEAM001", fn.node, path, fn.qualname, name,
+            yield (
+                "SEAM001", cls.module, fn.node,
                 "%s() must take the caller's address as its first "
                 "argument, named 'src' (the dispatch contract)" % name,
+                fn.qualname, name,
             )
-        if not _is_generator_def(cls.module, fn.node):
-            yield _finding(
-                "SEAM001", fn.node, path, fn.qualname, name,
+        if not fn.is_generator:
+            yield (
+                "SEAM001", cls.module, fn.node,
                 "%s() must be a generator (RpcEndpoint._serve drives "
                 "procedures with 'yield from'); use the "
                 "'return value; yield' idiom if it never blocks" % name,
+                fn.qualname, name,
             )
 
 
-def _check_host_hooks(cls: ClassInfo) -> Iterable[Finding]:
-    path = cls.module.path
+def _check_host_hooks(cls: ClassInfo) -> Iterator[Tuple]:
     for hook in _HOST_HOOKS:
         if hook in cls.methods:
             fn = cls.methods[hook]
-            yield _finding(
-                "SEAM003", fn.node, path, fn.qualname, hook,
+            yield (
+                "SEAM003", cls.module, fn.node,
                 "%s overrides %s(): host lifecycle belongs to the "
                 "server core; protocols hook on_server_crash/"
                 "on_server_reboot" % (cls.name, hook),
+                fn.qualname, hook,
             )
 
 
-def _reset_attrs(module, fn_node: ast.FunctionDef) -> Set[str]:
-    """Attributes wholesale-reset in this method body."""
-    out: Set[str] = set()
-    for node in ast.walk(fn_node):
-        if module.enclosing_function(node) is not fn_node:
+def _resets(cls: ClassInfo) -> Iterator[Tuple[str, ast.AST, str]]:
+    """(method name, node, attr) per wholesale reset in ``cls``'s own
+    methods: ``self.attr = ...`` or ``self.attr.clear()``."""
+    module = cls.module
+    method_of = {fn.node: name for name, fn in cls.methods.items()}
+    for node in module.by_type[ast.Assign] + module.by_type[ast.Call]:
+        name = method_of.get(module.owner[node])
+        if name is None:
             continue
         if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    out.add(target.attr)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "clear"
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id == "self"
-            ):
-                out.add(func.value.attr)
-    return out
+            targets = [chain(target) for target in node.targets]
+        else:
+            *receiver, method = chain(node.func)
+            targets = [receiver] if method == "clear" else []
+        for parts in targets:
+            if len(parts) == 2 and parts[0] == "self":
+                yield name, node, parts[1]
 
 
-def _check_table_discipline(cls: ClassInfo) -> Iterable[Finding]:
-    path = cls.module.path
-    crash_state: Set[str] = set()
-    for hook in _CRASH_HOOKS:
-        if hook in cls.methods:
-            crash_state |= _reset_attrs(cls.module, cls.methods[hook].node)
-    if not crash_state:
-        return
+def _check_table_discipline(cls: ClassInfo) -> Iterator[Tuple]:
+    resets = list(_resets(cls))
+    crash_state = {attr for name, _, attr in resets if name in _CRASH_HOOKS}
     allowed = set(_CRASH_HOOKS) | {"__init__"}
-    for name, fn in sorted(cls.methods.items()):
-        if name in allowed:
-            continue
-        for node in ast.walk(fn.node):
-            if cls.module.enclosing_function(node) is not fn.node:
-                continue
-            reset_attr = None
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and target.attr in crash_state
-                    ):
-                        reset_attr = target.attr
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "clear"
-                    and isinstance(func.value, ast.Attribute)
-                    and isinstance(func.value.value, ast.Name)
-                    and func.value.value.id == "self"
-                    and func.value.attr in crash_state
-                ):
-                    reset_attr = func.value.attr
-            if reset_attr is not None:
-                yield _finding(
-                    "SEAM003", node, path, fn.qualname, reset_attr,
-                    "%s() wholesale-resets self.%s, which the crash path "
-                    "owns: mutating table state off the on_server_crash/"
-                    "reboot path re-runs crash semantics on a live "
-                    "server" % (name, reset_attr),
-                )
+    for name, node, attr in resets:
+        if name not in allowed and attr in crash_state:
+            yield (
+                "SEAM003", cls.module, node,
+                "%s() wholesale-resets self.%s, which the crash path "
+                "owns: mutating table state off the on_server_crash/"
+                "reboot path re-runs crash semantics on a live "
+                "server" % (name, attr),
+                cls.methods[name].qualname, attr,
+            )
 
 
 # -- the probe seam --------------------------------------------------------
 
 
-def _check_probe_seam(index: ProjectIndex) -> Iterable[Finding]:
+def _check_probe_seam(index: ProjectIndex) -> Iterator[Tuple]:
     for module in index.modules:
-        path, package = module.path, module.subpackage
-        if package in _OBSERVER_OWNERS or (package == "sim" and path.endswith("engine.py")):
+        if not module.model_code or (
+            module.subpackage == "sim" and module.path.endswith("engine.py")
+        ):
             continue
-        for node in ast.walk(module.tree):
-            reached: List[str] = []
+        nodes = module.by_type
+        for node in nodes[ast.Attribute] + nodes[ast.Import] + nodes[ast.ImportFrom]:
+            reached = []
             if isinstance(node, ast.Attribute):
-                owner = node.value  # "on a simulator": sim.x or <anything>.sim.x
-                if getattr(owner, "attr", getattr(owner, "id", None)) == "sim":
+                if chain(node.value)[-1] == "sim":  # sim.x or <anything>.sim.x
                     reached = ["sim." + node.attr]
             elif isinstance(node, ast.Import):
                 reached = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level != 1:  # 1: a sibling
+            elif node.level != 1:  # 1: a sibling
                 base = ("repro." if node.level == 2 else "") + (node.module or "")
                 reached = [base] + ["%s.%s" % (base, a.name) for a in node.names]
             subject = next(filter(_OBSERVER_REACH.match, reached), None)
             if subject is not None:
-                fn = module.enclosing_function(node)
-                yield _finding(
-                    "SEAM004", node, path, fn.name if fn else "<module>", subject,
+                fn = module.owner[node]
+                yield (
+                    "SEAM004", module, node,
                     "%s reaches past the probe seam: model code reports each "
                     "event once through sim.probe (repro.obs.probe)" % subject,
+                    fn.name if fn is not None else "<module>", subject,
                 )
-
-
-def seam_findings(index: ProjectIndex) -> List[Finding]:
-    """SEAM findings with ``# lint: ok=...`` suppressions applied."""
-    by_path = {m.path: m for m in index.modules}
-    out = []
-    for finding in analyze_index(index):
-        module = by_path.get(finding.path)
-        if module is not None and module.suppressed(finding.rule, finding.line):
-            continue
-        out.append(finding)
-    return out

@@ -4,13 +4,14 @@ import os
 
 import pytest
 
-from repro.analysis.atomicity import (
-    analyze_index,
-    atomicity_findings,
+from repro.analysis import atomicity, linter
+from repro.analysis.callgraph import index_paths
+from repro.analysis.linter import (
+    findings,
     flagged_regions,
+    raw_findings,
     site_in_regions,
 )
-from repro.analysis.callgraph import index_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ATOM = os.path.join(FIXTURES, "atom_rules.py")
@@ -23,7 +24,7 @@ def index():
 
 @pytest.fixture(scope="module")
 def raw(index):
-    return analyze_index(index)
+    return raw_findings(index, "atomicity")
 
 
 def by_function(findings):
@@ -31,12 +32,15 @@ def by_function(findings):
 
 
 def test_each_rule_fires_on_its_method(raw):
-    got = {(f.function, f.rule) for f in raw}
-    assert ("Table.lost_update", "ATOM001") in got
-    assert ("Table.torn_update", "ATOM002") in got
-    assert ("Table.stale_reread", "ATOM003") in got
-    assert ("Table.sweep", "ATOM004") in got
-    assert ("Aliased.bump", "ATOM001") in got
+    # every raw finding, as (rule, line, severity, function, subject)
+    assert [(f.rule, f.line, f.severity, f.function, f.subject) for f in raw] == [
+        ("ATOM001", 21, "error", "Table.lost_update", "self.entries"),
+        ("ATOM002", 27, "error", "Table.torn_update", "self.entries"),
+        ("ATOM003", 33, "warning", "Table.stale_reread", "self.version"),
+        ("ATOM004", 39, "warning", "Table.sweep", "self.entries"),
+        ("ATOM001", 63, "error", "Table.reviewed_update", "self.entries"),
+        ("ATOM001", 98, "error", "Aliased.bump", "entry.count"),
+    ]
 
 
 def test_no_findings_on_guarded_or_local_methods(raw):
@@ -73,13 +77,27 @@ def test_message_cites_both_sides_of_the_crossing(raw):
 
 def test_suppression_filters_reviewed_findings(index, raw):
     assert any(f.function == "Table.reviewed_update" for f in raw)
-    filtered = atomicity_findings(index)
+    filtered = findings(index, "atomicity")
     assert not any(f.function == "Table.reviewed_update" for f in filtered)
 
 
 def test_suppressed_findings_still_flag_their_region(index):
     regions = flagged_regions(index)
     assert any(q == "Table.reviewed_update" for _, q, _, _ in regions)
+
+
+def test_flagged_regions_performs_no_analysis_of_its_own(monkeypatch):
+    runs = []
+
+    def counted(index):
+        runs.append(index)
+        return atomicity.check(index)
+
+    monkeypatch.setitem(linter._PASSES, "atomicity", counted)
+    fresh = index_paths([ATOM])
+    regions = flagged_regions(fresh)
+    assert findings(fresh, "atomicity") and flagged_regions(fresh) == regions
+    assert runs == [fresh]  # the pass ran once; its raw list is kept on the index
 
 
 def test_fingerprints_are_line_independent(index, raw):
@@ -93,7 +111,7 @@ def test_fingerprints_are_line_independent(index, raw):
         shifted = os.path.join(tmp, "atom_rules.py")
         with open(shifted, "w") as fh:
             fh.write("# shifted\n" * 7 + source)
-        shifted_raw = analyze_index(index_paths([shifted]))
+        shifted_raw = raw_findings(index_paths([shifted]), "atomicity")
     assert {(f.rule, f.function, f.subject, f.fingerprint) for f in raw} == {
         (f.rule, f.function, f.subject, f.fingerprint) for f in shifted_raw
     }

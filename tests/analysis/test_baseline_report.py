@@ -12,7 +12,7 @@ from repro.analysis.baseline import (
     load_baseline,
 )
 from repro.analysis.cli import run_lint
-from repro.analysis.linter import Finding, finding_fingerprint
+from repro.analysis.linter import Finding, finding_fingerprint, findings
 from repro.analysis.report import (
     LINT_SCHEMA,
     lint_document,
@@ -102,17 +102,18 @@ def test_baseline_rejects_wrong_schema(tmp_path):
         load_baseline(str(path))
 
 
-def test_committed_baseline_loads_and_is_fully_matched():
+def test_baseline_rejects_unknown_rules(tmp_path):
+    entry = entry_for(make_finding(rule="ATOM999"))
+    with pytest.raises(ValueError, match="no known rule"):
+        load_baseline(write_baseline(tmp_path, [entry]))
+
+
+def test_committed_baseline_loads_and_is_fully_matched(real_tree):
     doc = load_baseline(COMMITTED_BASELINE)
     assert doc["schema"] == BASELINE_SCHEMA
     assert 0 < len(doc["findings"]) <= 10
-    from repro.analysis.atomicity import atomicity_findings
-    from repro.analysis.callgraph import index_paths
-    from repro.analysis.seam import seam_findings
-
-    index = index_paths([PKG], package_root=PKG)
-    findings = atomicity_findings(index) + seam_findings(index)
-    active, baselined, stale = apply_baseline(findings, doc)
+    deep = findings(real_tree, "atomicity") + findings(real_tree, "seam")
+    active, baselined, stale = apply_baseline(deep, doc)
     assert active == [], [f.format() for f in active]
     assert stale == [], stale
     assert baselined
@@ -163,11 +164,48 @@ def test_cli_full_run_is_clean_and_writes_valid_json(lint_report):
     assert doc["summary"]["baselined"] > 0
 
 
-def test_cli_no_baseline_exposes_accepted_findings():
+def test_cli_no_baseline_exposes_accepted_findings(lint_real_tree):
     out = io.StringIO()
-    code = run_lint(
+    code = lint_real_tree(
         strict=True, atomicity=True, seam=True, no_baseline=True,
         conformance=False, out=out,
     )
     assert code == 1
     assert "ATOM001" in out.getvalue()
+
+
+# An unmatched baseline entry is stale only if this run could have
+# matched it: its rule's pass ran and its file was among those linted.
+
+
+def test_seam_only_run_does_not_call_atomicity_entries_stale(lint_real_tree):
+    out = io.StringIO()
+    code = lint_real_tree(strict=True, seam=True, conformance=False, out=out)
+    assert (code, out.getvalue()) == (
+        0, "lint: 0 error(s), 0 warning(s), 0 conformance diff(s), 0 baselined\n"
+    )
+
+
+def test_path_subset_run_does_not_call_other_files_entries_stale():
+    out = io.StringIO()
+    code = run_lint(
+        paths=[os.path.join(PKG, "document.py")], strict=True, atomicity=True,
+        seam=True, conformance=False, out=out,
+    )
+    assert (code, out.getvalue()) == (
+        0, "lint: 0 error(s), 0 warning(s), 0 conformance diff(s), 0 baselined\n"
+    )
+
+
+def test_entry_for_a_linted_file_whose_pass_ran_is_still_stale(tmp_path):
+    kernel = os.path.join(PKG, "host", "kernel.py")
+    gone = make_finding(function="Kernel.removed")
+    gone.path = "repro/host/kernel.py"
+    baseline = write_baseline(tmp_path, [entry_for(gone)])
+    out = io.StringIO()
+    code = run_lint(
+        paths=[kernel], strict=True, atomicity=True, baseline=baseline,
+        conformance=False, out=out,
+    )
+    assert code == 1
+    assert "[BASELINE] stale entry %s" % gone.fingerprint in out.getvalue()

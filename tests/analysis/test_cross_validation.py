@@ -17,14 +17,12 @@ import os
 
 import pytest
 
-from repro.analysis.atomicity import flagged_regions, site_in_regions
 from repro.analysis.callgraph import index_paths
+from repro.analysis.linter import flagged_regions, site_in_regions
 from repro.sim import Simulator
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 PLANTED = os.path.join(FIXTURES, "planted_race.py")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-PKG = os.path.join(REPO_ROOT, "src", "repro")
 
 
 def load_planted():
@@ -120,10 +118,10 @@ def test_nemesis_matrix_ran_sanitized(quick_matrix_findings):
 
 
 def test_every_nemesis_runtime_race_is_statically_covered(
-    quick_matrix_findings,
+    quick_matrix_findings, real_tree
 ):
     _, sanitizers = quick_matrix_findings
-    regions = flagged_regions(index_paths([PKG], package_root=PKG))
+    regions = flagged_regions(real_tree)
     assert regions, "the tree has reviewed hazards; regions cannot be empty"
     for san in sanitizers:
         for finding in san.findings_of("write-race"):

@@ -5,15 +5,19 @@ import os
 import pytest
 
 from repro.analysis.callgraph import index_paths
-from repro.analysis.seam import analyze_index
+from repro.analysis.linter import raw_findings
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SEAM = os.path.join(FIXTURES, "seam_rules.py")
 
 
+def analyze(path):
+    return raw_findings(index_paths([path]), "seam")
+
+
 @pytest.fixture(scope="module")
 def raw():
-    return analyze_index(index_paths([SEAM]))
+    return analyze(SEAM)
 
 
 def of_rule(findings, rule):
@@ -21,10 +25,19 @@ def of_rule(findings, rule):
 
 
 def test_totals(raw):
-    assert len(of_rule(raw, "SEAM001")) == 4
-    assert len(of_rule(raw, "SEAM002")) == 3
-    assert len(of_rule(raw, "SEAM003")) == 3
-    assert all(f.severity == "error" for f in raw)
+    # every raw finding, as (rule, line, severity, function, subject)
+    assert [(f.rule, f.line, f.severity, f.function, f.subject) for f in raw] == [
+        ("SEAM001", 50, "error", "BadArityPolicy.on_open", "on_open"),
+        ("SEAM001", 57, "error", "NotAGeneratorPolicy.on_close", "on_close"),
+        ("SEAM002", 63, "error", "UndeclaredReclaimPolicy.reclaim", "crash_recovery"),
+        ("SEAM002", 67, "error", "DeclaredNoReclaimPolicy", "crash_recovery"),
+        ("SEAM002", 75, "error", "BypassPolicy.on_open", "rpc.call"),
+        ("SEAM001", 103, "error", "BadProcServer.proc_open", "proc_open"),
+        ("SEAM001", 103, "error", "BadProcServer.proc_open", "proc_open"),
+        ("SEAM003", 109, "error", "HostHookServer.on_host_crash", "on_host_crash"),
+        ("SEAM003", 119, "error", "TableResetServer.proc_reset", "_tables"),
+        ("SEAM003", 124, "error", "TableResetServer.maintenance", "_tables"),
+    ]
 
 
 def test_conforming_classes_are_clean(raw):
@@ -96,12 +109,25 @@ def test_seam003_crash_state_reset_off_the_crash_path(raw):
 
 def test_seam004_model_code_behind_the_probe_is_clean():
     good = os.path.join(FIXTURES, "seam004_good.py")
-    assert of_rule(analyze_index(index_paths([good])), "SEAM004") == []
+    assert of_rule(analyze(good), "SEAM004") == []
 
 
 def test_seam004_flags_each_reach_past_the_probe():
     bad = os.path.join(FIXTURES, "seam004_bad.py")
-    findings = of_rule(analyze_index(index_paths([bad])), "SEAM004")
+    findings = of_rule(analyze(bad), "SEAM004")
+    assert [(f.line, f.function, f.subject) for f in findings] == [
+        (3, "<module>", "repro.analysis.sanitizer"),
+        (4, "<module>", "repro.metrics.registry"),
+        (5, "<module>", "repro.obs"),
+        (6, "<module>", "repro.trace"),
+        (14, "read", "sim.tracer"),
+        (15, "read", "sim.tracer"),
+        (17, "read", "sim.obs"),
+        (18, "read", "sim.obs"),
+        (22, "retransmit", "sim.metrics"),
+        (23, "retransmit", "sim.metrics"),
+        (24, "retransmit", "sim.sanitizer"),
+    ]
     assert all(f.severity == "error" for f in findings)
     imports = {f.subject for f in findings if f.function == "<module>"}
     assert imports == {
@@ -128,15 +154,10 @@ def test_seam004_exempts_the_engine_and_the_harness_packages(tmp_path):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
-        found = of_rule(analyze_index(index_paths([str(path)])), "SEAM004")
+        found = of_rule(analyze(str(path)), "SEAM004")
         assert bool(found) is flagged, rel
 
 
-def test_real_tree_seam_is_clean():
-    pkg = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        "src",
-        "repro",
-    )
-    findings = analyze_index(index_paths([pkg], package_root=pkg))
+def test_real_tree_seam_is_clean(real_tree):
+    findings = raw_findings(real_tree, "seam")
     assert findings == [], [f.format() for f in findings]

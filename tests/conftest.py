@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -69,14 +70,40 @@ def runner():
 
 
 @pytest.fixture(scope="session")
-def lint_report(tmp_path_factory):
-    """The full ``lint --strict --atomicity --seam`` walk of ``src/``,
-    run once per session: ``(exit code, printed text, JSON document)``."""
-    from repro.analysis.cli import run_lint
+def real_tree():
+    """``src/repro`` parsed and indexed once per session.  Each static
+    pass also runs at most once on it (``index.raw`` keeps the result),
+    so every test that asks about the shipped tree shares one walk."""
+    import repro
+    from repro.analysis.callgraph import index_paths
 
+    pkg = os.path.dirname(os.path.abspath(repro.__file__))
+    return index_paths([pkg], package_root=pkg)
+
+
+def _run_lint_on(real_tree, patch):
+    """``run_lint`` with its loader replaced: the default target is the
+    already-indexed :func:`real_tree` (file discovery and parsing have
+    their own test, ``test_run_lint_parses_each_file_once``)."""
+    from repro.analysis import cli
+
+    patch.setattr(cli, "index_paths", lambda paths, package_root=None: real_tree)
+    return cli.run_lint
+
+
+@pytest.fixture
+def lint_real_tree(real_tree, monkeypatch):
+    return _run_lint_on(real_tree, monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def lint_report(tmp_path_factory, real_tree):
+    """The full ``lint --strict --atomicity --seam`` run over ``src/``,
+    once per session: ``(exit code, printed text, JSON document)``."""
     out = io.StringIO()
     report = tmp_path_factory.mktemp("lint") / "report.json"
-    code = run_lint(
-        strict=True, atomicity=True, seam=True, json_out=str(report), out=out
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        code = _run_lint_on(real_tree, patch)(
+            strict=True, atomicity=True, seam=True, json_out=str(report), out=out
+        )
     return code, out.getvalue(), json.loads(report.read_text())
