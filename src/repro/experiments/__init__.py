@@ -16,7 +16,6 @@ from .blocksharing import BlockSharingResult, block_sharing_table, run_block_sha
 from .andrew import (
     ANDREW_CONFIGS,
     AndrewRun,
-    andrew_figure,
     andrew_table_5_1,
     andrew_table_5_2,
     run_andrew,
@@ -32,6 +31,7 @@ from .cluster import (
 from .consistency import ConsistencyOutcome, consistency_table, run_consistency
 from .figures import FigureData, figure_series, render_figure
 from .lifetimes import LifetimePoint, lifetime_sweep, run_lifetime_point
+from .memo import shared_run
 from .micro import micro_write_close_reread
 from .readpattern import read_pattern_comparison
 from .resilience import (
@@ -42,6 +42,7 @@ from .resilience import (
 )
 from .scaling import ScalingPoint, run_scaling_point, scaling_table
 from .traced import TracedRun, run_traced_andrew, small_tree
+from .window import Window
 from .sort import (
     SORT_SIZES,
     SortRun,
@@ -56,6 +57,8 @@ __all__ = [
     "build_testbed",
     "Testbed",
     "PROTOCOLS",
+    "Window",
+    "shared_run",
     "TracedRun",
     "run_traced_andrew",
     "small_tree",
@@ -63,7 +66,6 @@ __all__ = [
     "AndrewRun",
     "andrew_table_5_1",
     "andrew_table_5_2",
-    "andrew_figure",
     "ANDREW_CONFIGS",
     "run_sort",
     "SortRun",

@@ -11,16 +11,22 @@
    adaptive 3–150 s schedule.
 5. Delayed close (§6.2) — open/close RPC counts on the Andrew Make
    phase (repeatedly-opened header files).
+
+Ablations 1–8 are rows of one shape (a labelled run, its elapsed time, one
+RPC count) handed to :func:`_ablate`; baselines are Table 5-1/5-3 cells.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from ..host import HostConfig
 from ..metrics import format_table
 from ..nfs import NfsClientConfig
 from ..snfs import SnfsClientConfig
 from .andrew import run_andrew
+from .consistency import run_consistency
+from .memo import shared_run
 from .sort import SORT_SIZES, run_sort
 
 __all__ = [
@@ -36,181 +42,106 @@ __all__ = [
     "all_ablations",
 ]
 
+#: where each runner's result keeps its elapsed seconds
+_ELAPSED = {run_sort: "elapsed", run_andrew: "total"}
+
+
+def _ablate(title, runner, count_key, header, *variants) -> Tuple[str, Dict]:
+    """One table row per variant ``(label, keys, args, config)``, run as
+    ``runner(*args, **config)``: its label, then under ``header`` its
+    elapsed seconds and its ``count_key`` RPCs (``"open+close"`` sums two
+    rows of Table 5-2).  ``keys`` name, in ``header`` order, the measures
+    the results dict keeps."""
+    rows, results = [], {}
+    for label, keys, args, config in variants:
+        run = shared_run(runner, *args, **config)
+        count = sum(run.rpc_rows.get(op, 0) for op in count_key.split("+"))
+        measures = {"Elapsed (s)": getattr(run.result, _ELAPSED[runner])}
+        values = [measures.get(column, count) for column in header[1:]]
+        rows.append([label] + ["%.0f" % value for value in values])
+        results.update(zip(keys, values))
+    return format_table(list(header), rows, title=title), results
+
 
 def ablation_write_policy(size: int = SORT_SIZES[1]) -> Tuple[str, Dict[str, float]]:
     """SNFS delayed-write vs SNFS write-through vs NFS, on the sort."""
-    delayed = run_sort("snfs", size)
-    through = run_sort(
-        "snfs", size, client_config=SnfsClientConfig(write_through=True)
+    through = {"client_config": SnfsClientConfig(write_through=True)}
+    return _ablate(
+        "Ablation 1: the write policy is most of the win (§7)",
+        run_sort, "write", ("Configuration", "Elapsed (s)", "Write RPCs"),
+        ("SNFS (delayed write)", ("delayed",), ("snfs", size, True), {}),
+        ("SNFS (write-through)", ("write_through",), ("snfs", size, True), through),
+        ("NFS", ("nfs",), ("nfs", size, True), {}),
     )
-    nfs = run_sort("nfs", size)
-    rows = [
-        ["SNFS (delayed write)", "%.0f" % delayed.result.elapsed,
-         str(delayed.rpc_rows.get("write", 0))],
-        ["SNFS (write-through)", "%.0f" % through.result.elapsed,
-         str(through.rpc_rows.get("write", 0))],
-        ["NFS", "%.0f" % nfs.result.elapsed, str(nfs.rpc_rows.get("write", 0))],
-    ]
-    table = format_table(
-        ["Configuration", "Elapsed (s)", "Write RPCs"],
-        rows,
-        title="Ablation 1: the write policy is most of the win (§7)",
-    )
-    return table, {
-        "delayed": delayed.result.elapsed,
-        "write_through": through.result.elapsed,
-        "nfs": nfs.result.elapsed,
-    }
 
 
 def ablation_delete_cancellation(size: int = SORT_SIZES[1]) -> Tuple[str, Dict[str, int]]:
     """SNFS with and without delayed-write cancellation on delete."""
-    with_cancel = run_sort("snfs", size, update_enabled=False)
-    without = run_sort(
-        "snfs",
-        size,
-        update_enabled=False,
-        client_config=SnfsClientConfig(cancel_on_delete=False),
+    off = {"client_config": SnfsClientConfig(cancel_on_delete=False)}
+    return _ablate(
+        "Ablation 2: delete-before-writeback cancellation (§4.2.3)",
+        run_sort, "write", ("Configuration", "Write RPCs", "Elapsed (s)"),
+        ("cancellation on (default)", ("with_cancel_writes",), ("snfs", size, False), {}),
+        ("cancellation off", ("without_cancel_writes",), ("snfs", size, False), off),
     )
-    rows = [
-        ["cancellation on (default)", str(with_cancel.rpc_rows.get("write", 0)),
-         "%.0f" % with_cancel.result.elapsed],
-        ["cancellation off", str(without.rpc_rows.get("write", 0)),
-         "%.0f" % without.result.elapsed],
-    ]
-    table = format_table(
-        ["Configuration", "Write RPCs", "Elapsed (s)"],
-        rows,
-        title="Ablation 2: delete-before-writeback cancellation (§4.2.3)",
-    )
-    return table, {
-        "with_cancel_writes": with_cancel.rpc_rows.get("write", 0),
-        "without_cancel_writes": without.rpc_rows.get("write", 0),
-    }
 
 
 def ablation_invalidate_bug(size: int = SORT_SIZES[1]) -> Tuple[str, Dict[str, int]]:
     """How much of NFS's read traffic is the invalidate-on-close bug?"""
-    buggy = run_sort("nfs", size)
-    fixed = run_sort(
-        "nfs", size, client_config=NfsClientConfig(invalidate_on_close=False)
+    fixed = {"client_config": NfsClientConfig(invalidate_on_close=False)}
+    return _ablate(
+        "Ablation 3: the invalidate-on-close client bug (§5.2)",
+        run_sort, "read", ("Configuration", "Read RPCs", "Elapsed (s)"),
+        ("NFS (paper's buggy client)", ("buggy_reads",), ("nfs", size, True), {}),
+        ("NFS (bug fixed)", ("fixed_reads",), ("nfs", size, True), fixed),
     )
-    rows = [
-        ["NFS (paper's buggy client)", str(buggy.rpc_rows.get("read", 0)),
-         "%.0f" % buggy.result.elapsed],
-        ["NFS (bug fixed)", str(fixed.rpc_rows.get("read", 0)),
-         "%.0f" % fixed.result.elapsed],
-    ]
-    table = format_table(
-        ["Configuration", "Read RPCs", "Elapsed (s)"],
-        rows,
-        title="Ablation 3: the invalidate-on-close client bug (§5.2)",
-    )
-    return table, {
-        "buggy_reads": buggy.rpc_rows.get("read", 0),
-        "fixed_reads": fixed.rpc_rows.get("read", 0),
-    }
 
 
 def ablation_probe_interval() -> Tuple[str, Dict[str, int]]:
     """Adaptive 3-150 s probes vs fixed 3 s probes on the Andrew run."""
-    adaptive = run_andrew("nfs", remote_tmp=True)
-    fixed = run_andrew(
-        "nfs",
-        remote_tmp=True,
-        client_config=NfsClientConfig(attr_min_interval=3.0, attr_max_interval=3.0),
+    fixed = NfsClientConfig(attr_min_interval=3.0, attr_max_interval=3.0)
+    return _ablate(
+        "Ablation 4: NFS attribute-probe interval (§2.1)",
+        run_andrew, "getattr", ("Configuration", "Getattr RPCs", "Elapsed (s)"),
+        ("adaptive 3-150 s (default)", ("adaptive_getattrs",), ("nfs", True), {}),
+        ("fixed 3 s", ("fixed_getattrs",), ("nfs", True), {"client_config": fixed}),
     )
-    rows = [
-        ["adaptive 3-150 s (default)", str(adaptive.rpc_rows.get("getattr", 0)),
-         "%.0f" % adaptive.result.total],
-        ["fixed 3 s", str(fixed.rpc_rows.get("getattr", 0)),
-         "%.0f" % fixed.result.total],
-    ]
-    table = format_table(
-        ["Configuration", "Getattr RPCs", "Elapsed (s)"],
-        rows,
-        title="Ablation 4: NFS attribute-probe interval (§2.1)",
-    )
-    return table, {
-        "adaptive_getattrs": adaptive.rpc_rows.get("getattr", 0),
-        "fixed_getattrs": fixed.rpc_rows.get("getattr", 0),
-    }
 
 
 def ablation_delayed_close() -> Tuple[str, Dict[str, int]]:
     """§6.2: delayed close removes most open/close RPCs from the Andrew
     run (header files are reopened constantly during Make)."""
-    base = run_andrew("snfs", remote_tmp=True)
-    delayed = run_andrew(
-        "snfs",
-        remote_tmp=True,
-        client_config=SnfsClientConfig(delayed_close=True),
+    delayed = {"client_config": SnfsClientConfig(delayed_close=True)}
+    return _ablate(
+        "Ablation 5: delaying the SNFS close operation (§6.2)",
+        run_andrew, "open+close", ("Configuration", "Open+Close RPCs", "Elapsed (s)"),
+        ("immediate close (default)", ("base_openclose",), ("snfs", True), {}),
+        ("delayed close (§6.2)", ("delayed_openclose",), ("snfs", True), delayed),
     )
-    def oc(run):
-        return run.rpc_rows.get("open", 0) + run.rpc_rows.get("close", 0)
-
-    rows = [
-        ["immediate close (default)", str(oc(base)), "%.0f" % base.result.total],
-        ["delayed close (§6.2)", str(oc(delayed)), "%.0f" % delayed.result.total],
-    ]
-    table = format_table(
-        ["Configuration", "Open+Close RPCs", "Elapsed (s)"],
-        rows,
-        title="Ablation 5: delaying the SNFS close operation (§6.2)",
-    )
-    return table, {"base_openclose": oc(base), "delayed_openclose": oc(delayed)}
 
 
 def ablation_name_cache() -> Tuple[str, Dict[str, int]]:
     """§7: 'any mechanism that reduced the number of lookups would
     improve performance' — a TTL name cache on the Andrew run."""
-    base = run_andrew("nfs", remote_tmp=True)
-    cached = run_andrew(
-        "nfs",
-        remote_tmp=True,
-        client_config=NfsClientConfig(name_cache_ttl=30.0),
+    cached = {"client_config": NfsClientConfig(name_cache_ttl=30.0)}
+    return _ablate(
+        "Ablation 6: caching name translations (§7)",
+        run_andrew, "lookup", ("Configuration", "Lookup RPCs", "Elapsed (s)"),
+        ("no name cache (default)", ("base_lookups",), ("nfs", True), {}),
+        ("30 s TTL name cache", ("cached_lookups",), ("nfs", True), cached),
     )
-    rows = [
-        ["no name cache (default)", str(base.rpc_rows.get("lookup", 0)),
-         "%.0f" % base.result.total],
-        ["30 s TTL name cache", str(cached.rpc_rows.get("lookup", 0)),
-         "%.0f" % cached.result.total],
-    ]
-    table = format_table(
-        ["Configuration", "Lookup RPCs", "Elapsed (s)"],
-        rows,
-        title="Ablation 6: caching name translations (§7)",
-    )
-    return table, {
-        "base_lookups": base.rpc_rows.get("lookup", 0),
-        "cached_lookups": cached.rpc_rows.get("lookup", 0),
-    }
 
 
 def ablation_consistent_dir_cache() -> Tuple[str, Dict[str, int]]:
     """§7's suggestion implemented exactly: SNFS directory-entry
     caching kept consistent by server name-invalidation callbacks."""
-    base = run_andrew("snfs", remote_tmp=True)
-    cached = run_andrew(
-        "snfs",
-        remote_tmp=True,
-        client_config=SnfsClientConfig(consistent_dir_cache=True),
+    cached = {"client_config": SnfsClientConfig(consistent_dir_cache=True)}
+    return _ablate(
+        "Ablation 7: Sprite-consistent directory-entry caching (§7)",
+        run_andrew, "lookup", ("Configuration", "Lookup RPCs", "Elapsed (s)"),
+        ("no dir cache (default)", ("base_lookups",), ("snfs", True), {}),
+        ("consistent dir cache (§7)", ("cached_lookups",), ("snfs", True), cached),
     )
-    rows = [
-        ["no dir cache (default)", str(base.rpc_rows.get("lookup", 0)),
-         "%.0f" % base.result.total],
-        ["consistent dir cache (§7)", str(cached.rpc_rows.get("lookup", 0)),
-         "%.0f" % cached.result.total],
-    ]
-    table = format_table(
-        ["Configuration", "Lookup RPCs", "Elapsed (s)"],
-        rows,
-        title="Ablation 7: Sprite-consistent directory-entry caching (§7)",
-    )
-    return table, {
-        "base_lookups": base.rpc_rows.get("lookup", 0),
-        "cached_lookups": cached.rpc_rows.get("lookup", 0),
-    }
 
 
 def ablation_block_size() -> Tuple[str, Dict[str, float]]:
@@ -219,30 +150,16 @@ def ablation_block_size() -> Tuple[str, Dict[str, float]]:
     'natural' file system block size used at the server ... NFS might
     have performed slightly better had we used an 8k byte block size."
     """
-    from ..host import HostConfig
-
-    results = {}
-    rows = []
-    for bs in (4096, 8192):
-        hc = HostConfig.titan_client()
-        hc.block_size = bs
-        sc = HostConfig.titan_server()
-        sc.block_size = bs
-        run = run_andrew(
-            "nfs", remote_tmp=True, host_config=hc, server_config=sc
-        )
-        results["total_%dk" % (bs // 1024)] = run.result.total
-        results["writes_%dk" % (bs // 1024)] = run.rpc_rows.get("write", 0)
-        rows.append(
-            ["%d KB blocks" % (bs // 1024), "%.0f" % run.result.total,
-             str(run.rpc_rows.get("write", 0))]
-        )
-    table = format_table(
-        ["Configuration", "Elapsed (s)", "Write RPCs"],
-        rows,
-        title="Ablation 8: NFS block-size sensitivity (Table 5-2 footnote)",
+    hc, sc = HostConfig.titan_client(), HostConfig.titan_server()
+    hc.block_size = sc.block_size = 8192
+    big = {"host_config": hc, "server_config": sc}
+    return _ablate(
+        "Ablation 8: NFS block-size sensitivity (Table 5-2 footnote)",
+        run_andrew, "write", ("Configuration", "Elapsed (s)", "Write RPCs"),
+        # 4 KB is the Titans' configured block size: Table 5-1's own run
+        ("4 KB blocks", ("total_4k", "writes_4k"), ("nfs", True), {}),
+        ("8 KB blocks", ("total_8k", "writes_8k"), ("nfs", True), big),
     )
-    return table, results
 
 
 def ablation_lease() -> Tuple[str, Dict[str, int]]:
@@ -256,19 +173,14 @@ def ablation_lease() -> Tuple[str, Dict[str, int]]:
     SNFS, whose server has both clients marked write-sharing, keeps
     every read synchronous.  Both regimes stay at zero stale reads.
     """
-    from .consistency import run_consistency
-
-    results: Dict[str, int] = {}
-    rows = []
+    rows, results = [], {}
     for label, kwargs in (
         ("heavy sharing", dict(write_period=4.0)),
         ("rare sharing", dict(n_updates=8, write_period=20.0)),
     ):
         for proto in ("nfs", "snfs", "lease"):
             o = run_consistency(proto, **kwargs)
-            rows.append(
-                [label, proto.upper(), str(o.stale), str(o.rpc_calls)]
-            )
+            rows.append([label, proto.upper(), str(o.stale), str(o.rpc_calls)])
             results["%s_%s_stale" % (label.split()[0], proto)] = o.stale
             results["%s_%s_rpcs" % (label.split()[0], proto)] = o.rpc_calls
     table = format_table(
@@ -280,23 +192,9 @@ def ablation_lease() -> Tuple[str, Dict[str, int]]:
 
 
 def all_ablations() -> str:
-    parts = [
-        ablation_write_policy()[0],
-        "",
-        ablation_delete_cancellation()[0],
-        "",
-        ablation_invalidate_bug()[0],
-        "",
-        ablation_probe_interval()[0],
-        "",
-        ablation_delayed_close()[0],
-        "",
-        ablation_name_cache()[0],
-        "",
-        ablation_consistent_dir_cache()[0],
-        "",
-        ablation_block_size()[0],
-        "",
-        ablation_lease()[0],
+    ablations = [
+        ablation_write_policy, ablation_delete_cancellation, ablation_invalidate_bug,
+        ablation_probe_interval, ablation_delayed_close, ablation_name_cache,
+        ablation_consistent_dir_cache, ablation_block_size, ablation_lease,
     ]
-    return "\n".join(parts)
+    return "\n\n".join(ablation()[0] for ablation in ablations)

@@ -1,26 +1,30 @@
 """Andrew benchmark experiment runners (Table 5-1, Table 5-2, figures).
 
 ``run_andrew`` executes one configuration; ``andrew_table_5_1`` and
-``andrew_table_5_2`` assemble the paper's tables; ``andrew_figure``
-produces the utilization/call-rate series of figures 5-1 and 5-2.
+``andrew_table_5_2`` assemble the paper's tables; with
+``keep_call_times`` a run also keeps the utilization and call-time
+series behind figures 5-1 and 5-2 (:mod:`.figures`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..metrics import TimeSeries, UtilizationSampler, format_table
 from ..workloads import AndrewBenchmark, AndrewConfig, AndrewResult, make_tree
 from .cluster import build_testbed
+from .memo import shared_run
+from .window import Window, rpc_rows_table
 
 __all__ = [
     "AndrewRun",
     "run_andrew",
     "andrew_table_5_1",
     "andrew_table_5_2",
-    "andrew_figure",
     "ANDREW_CONFIGS",
+    "stage_andrew",
 ]
 
 #: Table 5-1's five columns: (label, protocol, remote_tmp)
@@ -68,32 +72,12 @@ def run_andrew(
         server_config=server_config,
         keep_call_times=keep_call_times,
     )
-    bench = AndrewBenchmark(
-        bed.client.kernel,
-        src_dir="/data/src",
-        dst_dir="/data/dst",
-        tmp_dir="/tmp",
-        tree=tree or make_tree(),
-        config=bench_config,
-    )
-
-    def setup():
-        yield from bed.client.kernel.mkdir("/data/src")
-        yield from bench.populate_source()
-
-    bed.run(setup())
+    bench = stage_andrew(bed, bed.client.kernel, tree or make_tree(), bench_config)
     # settle all delayed traffic, then measure only the benchmark — the
     # paper ran SNFS trials back-to-back "so that NFS would not be
     # charged for writes incurred by SNFS"
     bed.run(bed.client.kernel.sync())
-    bed.client.rpc.client_stats.reset()
-    if bed.server_host is not None:
-        bed.server_host.rpc.server_stats.reset()
-        if keep_call_times:
-            bed.server_host.rpc.call_log.clear()
-        bed.server_host.rpc.client_stats.reset()
-        for disk in bed.server_host.disks.values():
-            disk.stats.reset()
+    window = Window(bed)
 
     sampler = None
     if keep_call_times and bed.server_host is not None:
@@ -104,7 +88,6 @@ def run_andrew(
             name="server-cpu",
         )
 
-    t0 = bed.sim.now
     result = bed.run(bench.run())
     if sampler is not None:
         sampler.stop()
@@ -114,30 +97,62 @@ def run_andrew(
         protocol=protocol,
         remote_tmp=remote_tmp,
         result=result,
-        rpc_rows=bed.client_rpc_rows() if bed.server is not None else {},
-        server_disk=bed.server_disk_stats(),
+        rpc_rows=window.rpc_rows(),
+        server_disk=window.disk_stats(window.server_hosts),
     )
     if sampler is not None:
         # keep the benchmark window only, re-zeroed to its start
+        t0 = window.t0
         run.server_utilization = sampler.series.window(t0, bed.sim.now).shifted(-t0)
-        log = bed.server_host.rpc.call_log
+        log = window.call_log()
         read, write = "%s.read" % protocol, "%s.write" % protocol
         run.call_times = {
-            "total": [t - t0 for t, _name in log],
-            "read": [t - t0 for t, name in log if name == read],
-            "write": [t - t0 for t, name in log if name == write],
+            "total": [t for t, _name in log],
+            "read": [t for t, name in log if name == read],
+            "write": [t for t, name in log if name == write],
         }
     return run
+
+
+def stage_andrew(bed, kernel, tree, config: Optional[AndrewConfig] = None) -> AndrewBenchmark:
+    """The benchmark over ``/data/src`` -> ``/data/dst`` with ``/tmp``
+    temporaries, its source tree populated through ``kernel``."""
+    bench = AndrewBenchmark(
+        kernel,
+        src_dir="/data/src",
+        dst_dir="/data/dst",
+        tmp_dir="/tmp",
+        tree=tree,
+        config=config,
+    )
+
+    def setup():
+        yield from kernel.mkdir("/data/src")
+        yield from bench.populate_source()
+
+    bed.run(setup())
+    return bench
+
+
+def _table_runs(configs, tree, bench_config) -> List[AndrewRun]:
+    """One run per ``(label, protocol, remote_tmp)`` column, shared
+    across Tables 5-1/5-2 and the ablations at the default tree."""
+    return [
+        dataclasses.replace(
+            shared_run(
+                run_andrew, protocol, remote_tmp, tree=tree, bench_config=bench_config
+            ),
+            label=label,
+        )
+        for label, protocol, remote_tmp in configs
+    ]
 
 
 def andrew_table_5_1(
     tree=None, bench_config=None, configs=None
 ) -> Tuple[str, List[AndrewRun]]:
     """Reproduce Table 5-1: phase elapsed times across configurations."""
-    runs = [
-        run_andrew(protocol, remote_tmp, label=label, tree=tree, bench_config=bench_config)
-        for label, protocol, remote_tmp in (configs or ANDREW_CONFIGS)
-    ]
+    runs = _table_runs(configs or ANDREW_CONFIGS, tree, bench_config)
     headers = ["Phase"] + [r.label for r in runs]
     rows = []
     for phase in PHASES:
@@ -152,37 +167,8 @@ def andrew_table_5_1(
 def andrew_table_5_2(tree=None, bench_config=None) -> Tuple[str, List[AndrewRun]]:
     """Reproduce Table 5-2: RPC call counts for the Andrew benchmark."""
     configs = [c for c in ANDREW_CONFIGS if c[1] != "local"]
-    runs = [
-        run_andrew(protocol, remote_tmp, label=label, tree=tree, bench_config=bench_config)
-        for label, protocol, remote_tmp in configs
-    ]
-    ops = ["lookup", "read", "write", "getattr", "open", "close", "callback", "other", "total"]
-    headers = ["Operation"] + [r.label for r in runs]
-    rows = [[op] + [str(r.rpc_rows.get(op, 0)) for r in runs] for op in ops]
-    table = format_table(
-        headers, rows, title="Table 5-2: RPC calls for Andrew benchmark"
-    )
-    return table, runs
-
-
-def andrew_figure(
-    protocol: str,
-    tree=None,
-    bench_config=None,
-    sample_interval: float = 5.0,
-    rate_bucket: float = 5.0,
-) -> AndrewRun:
-    """Reproduce figure 5-1 (protocol='nfs') or 5-2 (protocol='snfs'):
-    server CPU utilization and RPC call rates over the benchmark, with
-    /tmp remote ("effectively simulating a diskless workstation")."""
-    return run_andrew(
-        protocol,
-        remote_tmp=True,
-        tree=tree,
-        bench_config=bench_config,
-        keep_call_times=True,
-        sample_interval=sample_interval,
-    )
+    runs = _table_runs(configs, tree, bench_config)
+    return rpc_rows_table(runs, "Table 5-2: RPC calls for Andrew benchmark"), runs
 
 
 def rates_from_times(times: List[float], bucket: float, t_end: float) -> List[Tuple[float, float]]:

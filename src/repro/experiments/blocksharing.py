@@ -16,6 +16,7 @@ from typing import Dict, Tuple
 from ..fs.types import OpenMode
 from ..metrics import format_table
 from .bed import build_bed
+from .window import Window
 
 __all__ = ["BlockSharingResult", "run_block_sharing", "block_sharing_table"]
 
@@ -48,21 +49,14 @@ def run_block_sharing(
             yield sim.timeout(think_time)
         yield from k.close(fd)
 
-    t0 = sim.now
+    window = Window(bed)
     bed.run_all(actor(0, 0), actor(1, 8192), limit=1e6)
-    elapsed = sim.now - t0
-
-    total = data = 0
-    for host in bed.client_hosts:
-        stats = host.rpc.client_stats.as_dict()
-        for proc_name, count in stats.items():
-            if proc_name.endswith(".retransmit"):
-                continue
-            total += count
-            if proc_name.endswith(".read") or proc_name.endswith(".write"):
-                data += count
+    rows = window.rpc_rows()
     return BlockSharingResult(
-        protocol=protocol, elapsed=elapsed, total_rpcs=total, data_rpcs=data
+        protocol=protocol,
+        elapsed=window.elapsed,
+        total_rpcs=rows["total"],
+        data_rpcs=rows["read"] + rows["write"],
     )
 
 

@@ -75,6 +75,6 @@ def register(sub) -> None:
 
 def register_all(sub) -> None:
     """``all`` is registered after every other package's subcommands."""
-    sub.add_parser("all", help="everything (several minutes)").set_defaults(
+    sub.add_parser("all", help="everything (under half a minute)").set_defaults(
         func=_run_all
     )

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..host import Host, HostConfig
 from ..net import Network, NetworkConfig
-from ..nfs import classify_ops
 from ..proto.shard import ShardMap
 from ..sim import Simulator
 from .bed import PROTOCOL_REGISTRY, Bed, build_bed, drive
@@ -61,42 +60,15 @@ class Testbed:
         """Drive several coroutines concurrently to completion."""
         return drive(self.sim, coros, limit)
 
-    # -- measurement helpers ---------------------------------------------
+    # -- the two host lists a Bed has, so one Window measures either ------
 
-    def client_rpc_rows(self) -> Dict[str, int]:
-        """Table 5-2-style aggregation of the client's RPC calls."""
-        totals = dict(self.client.rpc.client_stats.as_dict())
-        # mount-time traffic is setup, not workload
-        for proc in list(totals):
-            if proc.endswith(".mnt"):
-                del totals[proc]
-        rows = classify_ops(totals)
-        # server->client callbacks count against the experiment too
-        if self.server_host is not None:
-            callbacks = sum(
-                count
-                for proc, count in self.server_host.rpc.client_stats.as_dict().items()
-                if proc.endswith((".callback", ".invalidate", ".revoke", ".vacate"))
-            )
-            rows["callback"] += callbacks
-            rows["total"] += callbacks
-        return rows
+    @property
+    def client_hosts(self) -> List[Host]:
+        return [self.client]
 
-    def server_disk_stats(self) -> Dict[str, int]:
-        if self.server_host is None:
-            return {}
-        return _sum_disk_stats(self.server_host.disks.values())
-
-    def client_disk_stats(self) -> Dict[str, int]:
-        return _sum_disk_stats(self.client.disks.values())
-
-
-def _sum_disk_stats(disks) -> Dict[str, int]:
-    totals: Dict[str, int] = {}
-    for disk in disks:
-        for name, value in disk.stats.as_dict().items():
-            totals[name] = totals.get(name, 0) + value
-    return totals
+    @property
+    def server_hosts(self) -> List[Host]:
+        return [] if self.server_host is None else [self.server_host]
 
 
 def build_testbed(

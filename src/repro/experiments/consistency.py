@@ -15,6 +15,7 @@ from typing import List, Tuple
 from ..metrics import format_table
 from ..workloads import SharingResult, run_sharing_experiment
 from .bed import build_bed
+from .window import Window
 
 __all__ = ["ConsistencyOutcome", "run_consistency", "consistency_table"]
 
@@ -45,6 +46,7 @@ def run_consistency(
 ) -> ConsistencyOutcome:
     """Two clients write-share one file under the given protocol."""
     bed = build_bed(protocol, 2, update_daemons=False)
+    window = Window(bed)
     writer_proc, reader_proc, result = run_sharing_experiment(
         bed.sim,
         bed.kernels[0],
@@ -59,12 +61,9 @@ def run_consistency(
         yield bed.sim.all_of([writer_proc, reader_proc])
 
     bed.run(both_finish(), limit=1e6)
-    rpc_calls = 0
-    for host in bed.client_hosts + bed.server_hosts:
-        for name, count in sorted(host.rpc.client_stats.as_dict().items()):
-            if not name.endswith(".mnt"):
-                rpc_calls += count
-    return ConsistencyOutcome(protocol=protocol, result=result, rpc_calls=rpc_calls)
+    return ConsistencyOutcome(
+        protocol=protocol, result=result, rpc_calls=window.wire_calls()
+    )
 
 
 def consistency_table(protocols=("nfs", "rfs", "snfs", "kent", "lease")) -> Tuple[str, List[ConsistencyOutcome]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..metrics import TimeSeries, format_strip_chart
-from .andrew import AndrewRun, andrew_figure, rates_from_times
+from .andrew import rates_from_times, run_andrew
 
 __all__ = ["FigureData", "figure_series", "render_figure"]
 
@@ -95,11 +95,15 @@ def figure_series(
     sample_interval: float = 5.0,
     rate_bucket: float = 5.0,
 ) -> FigureData:
-    """Produce figure 5-1 (nfs) or 5-2 (snfs) data from one run."""
-    run: AndrewRun = andrew_figure(
+    """Produce figure 5-1 (nfs) or 5-2 (snfs) data from one run: server
+    CPU utilization and RPC call rates over the benchmark, with /tmp
+    remote ("effectively simulating a diskless workstation")."""
+    run = run_andrew(
         protocol,
+        remote_tmp=True,
         tree=tree,
         bench_config=bench_config,
+        keep_call_times=True,
         sample_interval=sample_interval,
     )
     elapsed = run.result.total

@@ -10,12 +10,14 @@ eventually ages out and is flushed).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..metrics import format_table
 from ..workloads.lifetimes import LifetimeConfig, LifetimeWorkload
 from .cluster import build_testbed
+from .window import Window
 
 __all__ = ["LifetimePoint", "run_lifetime_point", "lifetime_sweep"]
 
@@ -41,19 +43,11 @@ def run_lifetime_point(
     config: Optional[LifetimeConfig] = None,
 ) -> LifetimePoint:
     bed = build_testbed(protocol, remote_tmp=True)
-    cfg = config or LifetimeConfig()
-    cfg = LifetimeConfig(
-        n_files=cfg.n_files,
-        mean_lifetime=mean_lifetime,
-        file_blocks=cfg.file_blocks,
-        create_period=cfg.create_period,
-        seed=cfg.seed,
-    )
+    cfg = dataclasses.replace(config or LifetimeConfig(), mean_lifetime=mean_lifetime)
     bench = LifetimeWorkload(bed.client.kernel, "/tmp", cfg)
-    bed.client.rpc.client_stats.reset()
+    window = Window(bed)
     result = bed.run(bench.run())
-    proc = "%s.write" % protocol
-    write_rpcs = bed.client.rpc.client_stats.get(proc)
+    write_rpcs = window.rpc_rows()["write"]
     return LifetimePoint(
         protocol=protocol,
         mean_lifetime=mean_lifetime,

@@ -21,11 +21,12 @@ from ..fs.types import OpenMode
 from ..metrics import format_table
 from ..workloads import ReadQuicklySlowly
 from .cluster import build_testbed
+from .window import Window
 
 __all__ = ["read_pattern_comparison"]
 
 
-def _prepare(bed, path: str):
+def _prepare(bed, path: str) -> Window:
     k = bed.client.kernel
 
     def setup():
@@ -41,7 +42,7 @@ def _prepare(bed, path: str):
     for g in list(bed.mounts["/data"].live_gnodes()):
         g.private.pop("attr", None)
         g.private.pop("attr_time", None)
-    bed.client.rpc.client_stats.reset()
+    return Window(bed)
 
 
 def read_pattern_comparison(
@@ -49,19 +50,16 @@ def read_pattern_comparison(
 ) -> Tuple[str, Dict[str, int]]:
     """RPC totals for both patterns under both protocols."""
     results: Dict[str, int] = {}
+    patterns = {
+        "quick": lambda bench: bench.read_quickly(),
+        "slow": lambda bench: bench.read_slowly(duration=duration, interval=interval),
+    }
     for protocol in ("nfs", "snfs"):
-        # read-quickly
-        bed = build_testbed(protocol)
-        _prepare(bed, "/data/module.c")
-        bench = ReadQuicklySlowly(bed.client.kernel, "/data/module.c")
-        bed.run(bench.read_quickly())
-        results["%s_quick" % protocol] = bed.client.rpc.client_stats.total()
-        # read-slowly
-        bed = build_testbed(protocol)
-        _prepare(bed, "/data/module.c")
-        bench = ReadQuicklySlowly(bed.client.kernel, "/data/module.c")
-        bed.run(bench.read_slowly(duration=duration, interval=interval))
-        results["%s_slow" % protocol] = bed.client.rpc.client_stats.total()
+        for pattern, reads in patterns.items():
+            bed = build_testbed(protocol)
+            window = _prepare(bed, "/data/module.c")
+            bed.run(reads(ReadQuicklySlowly(bed.client.kernel, "/data/module.c")))
+            results["%s_%s" % (protocol, pattern)] = window.wire_calls()
 
     rows = [
         ["read-quickly (source module)", str(results["nfs_quick"]),

@@ -37,7 +37,9 @@ from ..faults import (
 from ..fs.types import OpenMode
 from ..metrics import format_table
 from ..proto.config import RemoteFsConfig
-from ..workloads import AndrewBenchmark, make_tree
+from ..workloads import make_tree
+from ..workloads.sharing import RECORD_SIZE, sharing_record
+from .andrew import stage_andrew
 from .bed import Bed, build_bed
 
 __all__ = [
@@ -47,9 +49,6 @@ __all__ = [
     "run_resilience",
     "sharing_client_config",
 ]
-
-_RECORD = 64
-
 
 @dataclass
 class ResilienceRun:
@@ -98,14 +97,9 @@ def sharing_client_config(protocol: str) -> Optional[RemoteFsConfig]:
 # -- sequential write-sharing ------------------------------------------------
 
 
-def _record(seq: int) -> bytes:
-    body = ("seq=%012d" % seq).encode()
-    return body + b"." * (_RECORD - len(body))
-
-
 def _write_record(kernel, path, seq, create=False):
     fd = yield from kernel.open(path, OpenMode.WRITE, create=create, truncate=create)
-    yield from kernel.write(fd, _record(seq))
+    yield from kernel.write(fd, sharing_record(seq))
     yield from kernel.close(fd)
 
 
@@ -152,16 +146,22 @@ def run_sharing(
         yield sim.timeout(write_period / 2 + 0.13)
         while sim.now < end_time:
             fd = yield from reader_kernel.open(path, OpenMode.READ)
-            yield from reader_kernel.read(fd, _RECORD)
+            yield from reader_kernel.read(fd, RECORD_SIZE)
             yield from reader_kernel.close(fd)
             yield sim.timeout(read_period)
 
-    t0 = sim.now
-    bed.run_all(writer(), reader())
-    elapsed = sim.now - t0
+    return _judged(bed, "sharing", protocol, schedule, writer(), reader())
+
+
+def _judged(bed: Bed, scenario, protocol, schedule, *coros) -> ResilienceRun:
+    """Drive ``coros`` to completion under whatever faults are installed,
+    then report their elapsed time and the oracle's end-of-run verdicts."""
+    t0 = bed.sim.now
+    bed.run_all(*coros)
+    elapsed = bed.sim.now - t0
     bed.final_checks()
     return ResilienceRun(
-        scenario="sharing",
+        scenario=scenario,
         protocol=protocol,
         schedule=schedule,
         elapsed=elapsed,
@@ -208,34 +208,11 @@ def run_resilience(
 ) -> ResilienceRun:
     """One Andrew run under one fault schedule, with oracle verdicts."""
     bed = ResilienceBed(protocol, n_clients=1, seed=seed)
-    bench = AndrewBenchmark(
-        bed.kernels[0],
-        src_dir="/data/src",
-        dst_dir="/data/dst",
-        tmp_dir="/tmp",
-        tree=tree or _small_tree(),
-    )
-
-    def setup():
-        yield from bed.kernels[0].mkdir("/data/src")
-        yield from bench.populate_source()
-
-    bed.run(setup())
+    bench = stage_andrew(bed, bed.kernels[0], tree or _small_tree())
     bed.run(bed.kernels[0].sync())
 
     bed.injector.install(FaultPlan(events=events, seed=seed))
-    t0 = bed.sim.now
-    bed.run(bench.run())
-    elapsed = bed.sim.now - t0
-    bed.final_checks()
-    return ResilienceRun(
-        scenario="andrew",
-        protocol=protocol,
-        schedule=schedule,
-        elapsed=elapsed,
-        verdicts=bed.oracle.summary(),
-        fault_log=list(bed.injector.log),
-    )
+    return _judged(bed, "andrew", protocol, schedule, bench.run())
 
 
 def _small_tree():

@@ -22,6 +22,7 @@ from typing import Dict, List, Tuple
 from ..metrics import format_table
 from ..workloads import edit_compile
 from .bed import build_bed
+from .window import Window
 
 __all__ = ["ScalingPoint", "run_scaling_point", "scaling_table"]
 
@@ -45,31 +46,24 @@ def run_scaling_point(
 ) -> ScalingPoint:
     """One (protocol, N) measurement."""
     bed = build_bed(protocol, n_clients)
-    sim, server_host = bed.sim, bed.server_host
-
-    cpu_before = server_host.cpu.busy_time()
+    server_host = bed.server_host
     disk = next(iter(server_host.disks.values()))
-    disk_before = disk.busy_time()
-    rpc_before = server_host.rpc.server_stats.total()
-    t0 = sim.now
-
+    window = Window(bed)
     finish_times: List[float] = []
 
     def timed(kernel, i):
         yield from edit_compile(kernel, "/data/user%d" % i, iterations, file_blocks)
-        finish_times.append(sim.now - t0)
+        finish_times.append(window.elapsed)
 
     bed.run_all(*(timed(k, i) for i, k in enumerate(bed.kernels)), limit=1e6)
-
-    elapsed = sim.now - t0
     return ScalingPoint(
         protocol=protocol,
         n_clients=n_clients,
         mean_client_seconds=sum(finish_times) / len(finish_times),
         max_client_seconds=max(finish_times),
-        server_cpu_utilization=(server_host.cpu.busy_time() - cpu_before) / elapsed,
-        server_disk_utilization=(disk.busy_time() - disk_before) / elapsed,
-        total_rpcs=server_host.rpc.server_stats.total() - rpc_before,
+        server_cpu_utilization=window.utilization(server_host.cpu),
+        server_disk_utilization=window.utilization(disk),
+        total_rpcs=window.wire_calls(),
     )
 
 

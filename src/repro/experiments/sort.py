@@ -9,15 +9,15 @@ sync ("infinite write-delay").
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..fs.types import OpenMode
 from ..metrics import format_table
 from ..workloads import ExternalSort, SortConfig, SortResult, make_input_records
 from .cluster import build_testbed
+from .memo import shared_run
+from .window import Window, rpc_rows_table
 
 __all__ = [
     "SortRun",
@@ -76,12 +76,7 @@ def run_sort(
         yield from k.sync()
 
     bed.run(stage_input())
-    bed.client.rpc.client_stats.reset()
-    if bed.server_host is not None:
-        for disk in bed.server_host.disks.values():
-            disk.stats.reset()
-    for disk in bed.client.disks.values():
-        disk.stats.reset()
+    window = Window(bed)
 
     sorter = ExternalSort(
         k,
@@ -98,9 +93,9 @@ def run_sort(
         input_bytes=input_bytes,
         update_enabled=update_enabled,
         result=result,
-        rpc_rows=bed.client_rpc_rows() if bed.server is not None else {},
-        server_disk=bed.server_disk_stats(),
-        client_disk=bed.client_disk_stats(),
+        rpc_rows=window.rpc_rows(),
+        server_disk=window.disk_stats(window.server_hosts),
+        client_disk=window.disk_stats(window.client_hosts),
     )
     if verify_output:
         run.output_ok = bed.run(_check_sorted(k, "/tmp/sorted", input_data))
@@ -129,15 +124,8 @@ def _check_sorted(k, path: str, input_data: bytes):
 # -- table builders ------------------------------------------------------------
 #
 # Tables 5-3..5-6 draw on twelve configurations, six of them more than
-# once; a run is a pure function of its configuration, so the builders
-# share one per process — except under REPRO_TRACE (each run's own tracer).
-
-_shared_run = lru_cache(maxsize=None)(run_sort)
-
-
-def _table_run(protocol: str, size: int, update_enabled: bool = True) -> SortRun:
-    traced = os.environ.get("REPRO_TRACE", "") not in ("", "0")
-    return (run_sort if traced else _shared_run)(protocol, size, update_enabled)
+# once (and the sort ablations' baselines on two of the same), so every
+# run is a ``shared_run(run_sort, protocol, size, update_enabled)``.
 
 
 def sort_table_5_3(sizes: Optional[List[int]] = None) -> Tuple[str, List[SortRun]]:
@@ -146,7 +134,7 @@ def sort_table_5_3(sizes: Optional[List[int]] = None) -> Tuple[str, List[SortRun
     runs: List[SortRun] = []
     rows = []
     for size in sizes:
-        row_runs = [_table_run(p, size) for p in ("local", "nfs", "snfs")]
+        row_runs = [shared_run(run_sort, p, size, True) for p in ("local", "nfs", "snfs")]
         runs.extend(row_runs)
         rows.append(
             [
@@ -164,13 +152,13 @@ def sort_table_5_3(sizes: Optional[List[int]] = None) -> Tuple[str, List[SortRun
 
 def sort_table_5_4(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
     """Table 5-4: RPC calls for the sort benchmark (largest input)."""
-    runs = [_table_run(p, size) for p in ("nfs", "snfs")]
-    return _rpc_table(runs, "Table 5-4: RPC calls for Sort benchmark"), runs
+    runs = [shared_run(run_sort, p, size, True) for p in ("nfs", "snfs")]
+    return rpc_rows_table(runs, "Table 5-4: RPC calls for Sort benchmark"), runs
 
 
 def sort_table_5_5(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
     """Table 5-5: sort with infinite write-delay (update daemon off)."""
-    runs = [_table_run(p, size, False) for p in ("local", "nfs", "snfs")]
+    runs = [shared_run(run_sort, p, size, False) for p in ("local", "nfs", "snfs")]
     headers = ["Version", "Elapsed"]
     rows = [[r.label, "%.0f sec" % r.result.elapsed] for r in runs]
     table = format_table(
@@ -181,7 +169,9 @@ def sort_table_5_5(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
 
 def sort_table_5_6(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
     """Table 5-6: RPC calls with and without the update daemon."""
-    runs = [_table_run(p, size, u) for p in ("nfs", "snfs") for u in (True, False)]
+    runs = [
+        shared_run(run_sort, p, size, u) for p in ("nfs", "snfs") for u in (True, False)
+    ]
     headers = ["Version", "update?", "Reads", "Writes", "Others"]
     rows = []
     for r in runs:
@@ -202,10 +192,3 @@ def sort_table_5_6(size: int = SORT_SIZES[-1]) -> Tuple[str, List[SortRun]]:
         align_left_cols=2,
     )
     return table, runs
-
-
-def _rpc_table(runs: List[SortRun], title: str) -> str:
-    ops = ["lookup", "read", "write", "getattr", "open", "close", "callback", "other", "total"]
-    headers = ["Operation"] + [r.label for r in runs]
-    rows = [[op] + [str(r.rpc_rows.get(op, 0)) for r in runs] for op in ops]
-    return format_table(headers, rows, title=title)

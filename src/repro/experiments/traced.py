@@ -33,7 +33,8 @@ from typing import Any, List, Optional
 from ..fs.types import OpenMode
 from ..net import NetworkConfig
 from ..sim import Simulator
-from ..workloads import AndrewBenchmark, AndrewConfig, make_tree
+from ..workloads import AndrewConfig, make_tree
+from .andrew import stage_andrew
 from .bed import build_bed
 
 __all__ = ["TracedRun", "run_traced_andrew", "small_tree"]
@@ -96,20 +97,7 @@ def run_traced_andrew(
     )
     kernels = bed.kernels
 
-    bench = AndrewBenchmark(
-        kernels[0],
-        src_dir="/data/src",
-        dst_dir="/data/dst",
-        tmp_dir="/tmp",
-        tree=tree or small_tree(seed),
-        config=bench_config,
-    )
-
-    def setup():
-        yield from kernels[0].mkdir("/data/src")
-        yield from bench.populate_source()
-
-    bed.run(setup())
+    bench = stage_andrew(bed, kernels[0], tree or small_tree(seed), bench_config)
     result = bed.run(bench.run())
 
     # Epilogue: before the writer's 30-second delayed writes age out,

@@ -30,16 +30,9 @@ from typing import Dict
 
 from ..fs import FsError
 from ..fs.types import OpenMode
+from ..workloads.sharing import RECORD_SIZE, sharing_record
 
 __all__ = ["NEMESIS_WORKLOADS", "run_workload", "drive_sharing_pairs"]
-
-_RECORD = 64
-
-
-def _record(seq: int) -> bytes:
-    body = ("seq=%012d" % seq).encode()
-    return body + b"." * (_RECORD - len(body))
-
 
 #: the sharing workloads' size: records committed, and the writer's and
 #: reader's periods in simulated seconds
@@ -62,7 +55,7 @@ def drive_sharing_pairs(bed, pairs) -> Dict[str, int]:
         fd = yield from kernel.open(
             path, OpenMode.WRITE, create=True, truncate=True
         )
-        yield from kernel.write(fd, _record(0))
+        yield from kernel.write(fd, sharing_record(0))
         yield from kernel.close(fd)
 
     def writer(kernel, path, state):
@@ -71,7 +64,7 @@ def drive_sharing_pairs(bed, pairs) -> Dict[str, int]:
                 yield sim.timeout(WRITE_PERIOD)
                 try:
                     fd = yield from kernel.open(path, OpenMode.WRITE)
-                    yield from kernel.write(fd, _record(seq))
+                    yield from kernel.write(fd, sharing_record(seq))
                     yield from kernel.close(fd)
                     stats["writes"] += 1
                 except FsError:
@@ -89,7 +82,7 @@ def drive_sharing_pairs(bed, pairs) -> Dict[str, int]:
         while not state["done"]:
             try:
                 fd = yield from kernel.open(path, OpenMode.READ)
-                yield from kernel.read(fd, _RECORD)
+                yield from kernel.read(fd, RECORD_SIZE)
                 yield from kernel.close(fd)
                 stats["reads"] += 1
             except FsError:
@@ -131,7 +124,7 @@ def run_meta_churn(bed, n_rounds: int = 12, period: float = 2.5) -> Dict[str, in
                     fd = yield from churn_kernel.open(
                         name, OpenMode.WRITE, create=True, truncate=True
                     )
-                    yield from churn_kernel.write(fd, _record(i))
+                    yield from churn_kernel.write(fd, sharing_record(i))
                     yield from churn_kernel.close(fd)
                     yield from churn_kernel.rename(name, name + ".done")
                     yield from churn_kernel.stat(name + ".done")
@@ -159,7 +152,7 @@ def run_meta_churn(bed, n_rounds: int = 12, period: float = 2.5) -> Dict[str, in
                         path = "/data/churn/" + name
                         yield from walk_kernel.stat(path)
                         fd = yield from walk_kernel.open(path, OpenMode.READ)
-                        yield from walk_kernel.read(fd, _RECORD)
+                        yield from walk_kernel.read(fd, RECORD_SIZE)
                         yield from walk_kernel.close(fd)
                         stats["walk_ops"] += 3
                     except FsError:

@@ -14,9 +14,9 @@ from typing import List, Tuple
 
 from ..fs.types import OpenMode
 
-__all__ = ["SharingResult", "run_sharing_experiment"]
+__all__ = ["SharingResult", "run_sharing_experiment", "RECORD_SIZE", "sharing_record"]
 
-_RECORD = 64  # fixed-size record
+RECORD_SIZE = 64  # fixed-size record
 
 
 @dataclass
@@ -37,9 +37,11 @@ class SharingResult:
         return self.stale_reads / self.total_reads if self.observations else 0.0
 
 
-def _record_bytes(seq: int) -> bytes:
+def sharing_record(seq: int) -> bytes:
+    """The sequence-numbered record every sharing workload (this one,
+    the resilience runs, the nemesis matrix) commits and polls."""
     body = ("seq=%012d" % seq).encode()
-    return body + b"." * (_RECORD - len(body))
+    return body + b"." * (RECORD_SIZE - len(body))
 
 
 def _parse_seq(data: bytes) -> int:
@@ -70,12 +72,12 @@ def run_sharing_experiment(
     def writer():
         k = writer_kernel
         fd = yield from k.open(path, OpenMode.WRITE, create=True, truncate=True)
-        yield from k.write(fd, _record_bytes(0))
+        yield from k.write(fd, sharing_record(0))
         yield from k.fsync(fd)
         for seq in range(1, n_updates + 1):
             yield sim.timeout(write_period)
             k.lseek(fd, 0)
-            yield from k.write(fd, _record_bytes(seq))
+            yield from k.write(fd, sharing_record(seq))
             yield from k.fsync(fd)  # commit point
             committed["seq"] = seq
         yield from k.close(fd)
@@ -88,7 +90,7 @@ def run_sharing_experiment(
         while sim.now < end_time:
             yield sim.timeout(read_period)
             k.lseek(fd, 0)
-            data = yield from k.read(fd, _RECORD)
+            data = yield from k.read(fd, RECORD_SIZE)
             result.observations.append(
                 (sim.now, _parse_seq(bytes(data)), committed["seq"])
             )

@@ -5,6 +5,7 @@ import pytest
 from repro.fs import OpenMode
 from repro.experiments import build_testbed
 from repro.experiments.cluster import PROTOCOLS
+from repro.experiments.window import Window
 
 
 def write_read(bed, path, data):
@@ -48,14 +49,44 @@ def test_local_protocol_has_no_server():
     bed = build_testbed("local")
     assert bed.server_host is None
     assert bed.server is None
-    assert bed.server_disk_stats() == {}
+    window = Window(bed)
+    assert window.disk_stats(window.server_hosts) == {}
+    assert window.rpc_rows() == {}
 
 
 def test_client_rpc_rows_exclude_mount_traffic():
-    bed = build_testbed("nfs")
-    rows = bed.client_rpc_rows()
-    # attach() issued nfs.mnt, but it must not count as workload
-    assert rows["total"] == 0 or "mnt" not in str(rows)
+    """A window opened on a fresh bed has seen nothing, although the
+    client's counters already hold the mount and the mount-time lookups
+    of ``data``/``tmp`` (which the old ``client_rpc_rows`` reported)."""
+    for protocol in PROTOCOLS:
+        for remote_tmp in (False, True):
+            bed = build_testbed(protocol, remote_tmp=remote_tmp)
+            window = Window(bed)
+            assert window.wire_calls() == 0 and window.calls() == {}
+            assert window.rpc_rows().get("total", 0) == 0
+            if protocol != "local":
+                setup = bed.client.rpc.client_stats
+                assert setup[protocol + ".mnt"] == 1
+                assert setup[protocol + ".lookup"] == (2 if remote_tmp else 1)
+
+
+@pytest.mark.parametrize("protocol", [p for p in PROTOCOLS if p != "local"])
+def test_window_counts_equal_the_hand_count(protocol):
+    """After a known open/write/close + open/read/close the window holds
+    exactly what the client's counters gained, by name."""
+    bed = build_testbed(protocol)
+    before = dict(bed.client.rpc.client_stats)
+    window = Window(bed)
+    write_read(bed, "/data/f", b"hello")
+    after = bed.client.rpc.client_stats
+    gained = {p: n - before.get(p, 0) for p, n in after.items() if n != before.get(p, 0)}
+    assert gained and not any(p.endswith((".mnt", ".retransmit")) for p in gained)
+    assert window.calls() == gained
+    assert window.wire_calls() == sum(gained.values()) + window.pushes()
+    rows = window.rpc_rows()
+    assert rows["total"] == window.wire_calls()
+    assert rows["write"] == gained.get(protocol + ".write", 0)
+    assert sum(rows.values()) == 2 * rows["total"]  # every call is in one row
 
 
 def test_unknown_protocol_rejected():

@@ -91,12 +91,20 @@ def test_unknown_numbered_artifacts_exit_with_the_parents_message():
 def test_golden_outputs_resolve_through_the_artifact_table():
     builders = list(ARTIFACTS.values())
     assert all(build in builders for build in GOLDEN_OUTPUTS.values())
-    # the golden set is the committed one: 11 outputs + 4 traced
+    # the golden set is the committed one: 16 outputs + 4 traced
     with open(default_golden_path()) as fh:
         committed = json.load(fh)
     assert sorted(GOLDEN_OUTPUTS) == sorted(committed["outputs"])
     assert sorted(GOLDEN_TRACED) == sorted(committed["trace_digests"])
-    assert (len(GOLDEN_OUTPUTS), len(GOLDEN_TRACED)) == (11, 4)
+    assert (len(GOLDEN_OUTPUTS), len(GOLDEN_TRACED)) == (16, 4)
+
+
+def test_no_artifact_lands_unpinned():
+    """Every artifact but the pure-data Table 4-1 sample has an output
+    digest, so a new one cannot be added without pinning it."""
+    pinned = [b for b in ARTIFACTS.values() if b in GOLDEN_OUTPUTS.values()]
+    unpinned = [n for n, b in ARTIFACTS.items() if b not in pinned]
+    assert unpinned == ["table-4-1"]
 
 
 def test_import_repro_loads_no_harness_module():
