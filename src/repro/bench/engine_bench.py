@@ -5,12 +5,14 @@ synthetic event pattern through it, and reports a wall-clock rate.  The
 ``ops`` count is *defined arithmetically* from the scenario parameters
 (not sampled from the engine) so the denominator is identical before
 and after any engine change — the rate measures the engine, nothing
-else.
+else.  :func:`run_engine_cell` is the stopwatch ``perfbench`` calibrates
+on; ``python -m repro bench`` does not run these.
 
-Every scenario also has a small fixed-size *digest* variant that
-records the exact (step, simulated-time) schedule it observed and
-hashes it; the digests are stored in ``BENCH_engine.json`` and double
-as a schedule-identity oracle for engine refactors.
+Every scenario also has a small fixed size at which a body records the
+exact (step, simulated-time) schedule it observed; the golden file
+pins each one (``engine-<scenario>`` in
+:data:`repro.bench.golden.GOLDEN_TRACED`), an oracle for engine
+refactors.
 
 Scenarios:
 
@@ -44,23 +46,21 @@ Scenarios:
 
 from __future__ import annotations
 
-import hashlib
 import statistics
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..sim import Resource, Simulator, Store
-from .suite import run_suite
 
-__all__ = ["ENGINE_SCENARIOS", "run_engine_cell", "run_engine_suite"]
+__all__ = ["ENGINE_SCENARIOS", "run_engine_cell"]
 
 
 # -- scenario bodies ---------------------------------------------------------
 #
 # Each body is ``body(sim, n, schedule)``: drive ``n`` rounds through
 # ``sim``; when ``schedule`` is a list, append (round, sim.now) samples
-# to it (digest variants only — the timed runs pass None and skip the
-# bookkeeping entirely).
+# to it (the golden schedule digests only — the timed runs pass None and
+# skip the bookkeeping entirely).
 
 
 def _timeout_chain(sim: Simulator, n: int, schedule: Optional[list]) -> int:
@@ -183,7 +183,7 @@ def _spawn_join(sim: Simulator, n: int, schedule: Optional[list]) -> int:
     return 3 * rounds * wave  # spawn + timer + join delivery per child
 
 
-#: name -> (body, full_n, quick_n, digest_n)
+#: name -> (body, full_n, quick_n, digest_n); golden digests digest_n
 ENGINE_SCENARIOS: Dict[str, Tuple[Callable, int, int, int]] = {
     "timeout-chain": (_timeout_chain, 200_000, 20_000, 2_000),
     "sleep-chain": (_sleep_chain, 200_000, 20_000, 2_000),
@@ -195,28 +195,14 @@ ENGINE_SCENARIOS: Dict[str, Tuple[Callable, int, int, int]] = {
 }
 
 
-def _schedule_digest(name: str, body: Callable, n: int) -> str:
-    """Hash the exact schedule a small run of ``body`` observes.
-
-    The scenario name salts the hash so two scenarios that happen to
-    sample identical (step, time) sequences still get distinct
-    digests."""
-    schedule: List[tuple] = []
-    body(Simulator(), n, schedule)
-    text = name + "|" + ";".join(repr(item) for item in schedule)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def run_engine_cell(name: str, quick: bool = False, repeats: int = 3) -> Dict:
-    """Run one engine scenario (the process-pool cell body).
+    """Time one engine scenario ``repeats`` times.
 
-    The reported ``wall_seconds`` / ``events_per_sec`` use the
-    **median** of the repeats, so one noisy repeat (a CI neighbor
-    stealing the core mid-run) cannot swing the ``--check`` regression
-    gate; the raw per-repeat timings are kept in
-    ``wall_seconds_repeats`` for the curious.
+    The reported ``wall_seconds`` is the **median** of the repeats, so
+    one noisy repeat (a neighbor stealing the core mid-run) cannot swing
+    the rate ``ops / wall_seconds``.
     """
-    body, full_n, quick_n, digest_n = ENGINE_SCENARIOS[name]
+    body, full_n, quick_n, _digest_n = ENGINE_SCENARIOS[name]
     n = quick_n if quick else full_n
     walls = []
     ops = 0
@@ -225,30 +211,9 @@ def run_engine_cell(name: str, quick: bool = False, repeats: int = 3) -> Dict:
         t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
         ops = body(sim, n, None)
         walls.append(time.perf_counter() - t0)  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
-    median = statistics.median(walls)
     return {
         "name": name,
         "params": {"n": n, "repeats": repeats},
         "ops": ops,
-        "wall_seconds": round(median, 6),
-        "wall_seconds_repeats": [round(w, 6) for w in walls],
-        "events_per_sec": round(ops / median) if median else 0,
-        "trace_digest": _schedule_digest(name, body, digest_n),
+        "wall_seconds": round(statistics.median(walls), 6),
     }
-
-
-def run_engine_suite(
-    quick: bool = False,
-    repeats: int = 3,
-    only: Optional[str] = None,
-    jobs: int = 1,
-    progress=None,
-    accounting: Optional[Dict] = None,
-) -> List[Dict]:
-    """Run every engine scenario; returns scenario result dicts
-    (``only``, ``jobs``, ``progress``, ``accounting``: see
-    :func:`~repro.bench.suite.run_suite`)."""
-    return run_suite(
-        "bench-engine", ENGINE_SCENARIOS, {"quick": quick, "repeats": repeats},
-        only=only, jobs=jobs, progress=progress, accounting=accounting,
-    )

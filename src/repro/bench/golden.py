@@ -3,7 +3,8 @@
 Optimization PRs must not change *what* the simulator computes, only
 how fast.  This module canonicalizes that contract: each golden
 scenario renders one paper table/figure (or runs a traced workload)
-at a fixed seed and hashes the result.  The checked-in digests
+at a fixed seed and hashes the result.  It is the only schedule oracle
+in the repository: nothing else computes a trace or schedule digest.  The checked-in digests
 (``tests/golden/golden.json``) are the pre-optimization reference;
 ``tests/bench/test_golden.py`` recomputes and compares them, so a
 schedule-visible regression fails loudly with the scenario name.
@@ -17,9 +18,12 @@ Two digest families:
   behavioral drift shows up.
 * **trace digests** — :func:`repro.trace.trace_digest` over the full
   causal trace of the traced scenarios (the §5.3 microbenchmark, the
-  resilience scenario, the two-client Andrew run per protocol).  A
+  resilience scenario, the two-client Andrew run per protocol, and a
+  small fixed variant of each ``repro bench`` workload family).  A
   trace hashes every span and instant with timestamps, so these are
-  byte-identical-schedule oracles.
+  byte-identical-schedule oracles.  The ``engine-*`` entries hash the
+  (step, simulated-time) samples a pure-engine microbenchmark body
+  observes instead, salted with the scenario name.
 """
 
 from __future__ import annotations
@@ -31,9 +35,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..document import read_json, write_json
 from ..experiments.artifacts import ARTIFACTS
+from ..experiments.sort import SORT_SIZES, run_sort
+from ..experiments.traced import run_traced_andrew
 from ..parallel import CellSpec, sweep
+from ..sim import Simulator
 from ..trace import Tracer, trace_digest
-from .workloads import andrew_digest
+from .engine_bench import ENGINE_SCENARIOS
+from .workloads import CLUSTER_PROTOCOLS, cluster_point, sharded_point
 
 __all__ = [
     "GOLDEN_OUTPUTS",
@@ -88,18 +96,52 @@ def compute_output_digests(
 # -- trace digests -----------------------------------------------------------
 
 
-def _traced_artifact(name: str) -> List[str]:
-    """Build an artifact with ``REPRO_TRACE`` armed; digest every
+def _traced(run_fn: Callable, *args, **kwargs) -> List[str]:
+    """Call ``run_fn`` with ``REPRO_TRACE`` armed; digest every
     simulator's trace (one experiment may build several testbeds)."""
-    return [trace_digest(t) for t in Tracer.capture(ARTIFACTS[name])[1]]
+    _, tracers = Tracer.capture(partial(run_fn, *args, **kwargs))
+    return [trace_digest(t) for t in tracers]
 
 
-#: scenario name -> zero-argument callable returning a digest list
+def _andrew(protocol: str) -> List[str]:
+    """The two-client Andrew run (seed 1989), which traces itself."""
+    return [trace_digest(run_traced_andrew(protocol, seed=1989).tracer)]
+
+
+def _engine(name: str) -> List[str]:
+    """Hash the exact schedule a small run of an engine scenario
+    observes.  The scenario name salts the hash so two scenarios that
+    happen to sample identical (step, time) sequences still get
+    distinct digests."""
+    body, _full_n, _quick_n, digest_n = ENGINE_SCENARIOS[name]
+    schedule: List[tuple] = []
+    body(Simulator(), digest_n, schedule)
+    return [_sha(name + "|" + ";".join(repr(item) for item in schedule))]
+
+
+#: scenario name -> zero-argument callable returning a digest list; the
+#: workload families run fixed sizes far below their ``repro bench``
+#: points, since every N runs a different schedule by definition
 GOLDEN_TRACED: Dict[str, Callable[[], List[str]]] = {
-    "andrew-traced-nfs": lambda: [andrew_digest("nfs")],
-    "andrew-traced-snfs": lambda: [andrew_digest("snfs")],
-    "micro-5-3-traced": partial(_traced_artifact, "micro"),
-    "resilience-seed1-traced": partial(_traced_artifact, "resilience"),
+    "andrew-traced-nfs": partial(_andrew, "nfs"),
+    "andrew-traced-snfs": partial(_andrew, "snfs"),
+    "micro-5-3-traced": partial(_traced, ARTIFACTS["micro"]),
+    "resilience-seed1-traced": partial(_traced, ARTIFACTS["resilience"]),
+    "sort-traced-nfs": partial(_traced, run_sort, "nfs", input_bytes=SORT_SIZES[0]),
+    **{
+        "cluster-traced-%s" % protocol: partial(
+            _traced, cluster_point, protocol, n_clients=4, iterations=2
+        )
+        for protocol in CLUSTER_PROTOCOLS
+    },
+    "sharded-traced-snfs": partial(
+        _traced, sharded_point, "snfs",
+        n_shards=2, n_clients=4, iterations=2, seed=11,
+    ),
+    "sweep-traced-snfs": partial(
+        _traced, cluster_point, "snfs", n_clients=8, iterations=1
+    ),
+    **{"engine-%s" % name: partial(_engine, name) for name in ENGINE_SCENARIOS},
 }
 
 

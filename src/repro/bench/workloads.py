@@ -1,6 +1,5 @@
-"""Macro benchmarks: wall-clock cost of full protocol-stack workloads.
-
-Three families:
+"""Macro benchmarks: the simulated work and time of full protocol-stack
+workloads, one fixed size each.
 
 ``andrew-2client-<protocol>``
     The two-client Andrew run (small tree, seed 1989) including the
@@ -17,20 +16,21 @@ Three families:
     near-linearly with N — until the ``hotdir`` variant pins every
     client's files into one shared top-level directory, whose single
     owning shard becomes the serialization point again.
+``sweep-n<N>``
+    Opt-in only (``--n 1024``): the SNFS cluster at N clients, one
+    edit/compile iteration each.
 
-``ops`` is always a *simulation-defined* work count (RPCs plus disk
-transfers), which is invariant under engine changes, so events/sec
-measures the substrate and not the workload definition.
-
-``trace_digest`` is computed from a small traced variant of each
-scenario (tracing a 256-client sweep would distort the timing and the
-memory footprint); the variant's parameters are recorded in
-``params.digest_variant``.
+``ops`` is a *simulation-defined* work count (RPCs plus disk
+transfers) and ``sim_seconds`` the simulated time the scenario covers:
+both are deterministic, so ``--check`` compares them exactly.  Nothing
+here is timed (``perfbench/`` is the stopwatch) and nothing here is
+traced (the schedule oracles of small fixed variants of these
+scenarios are :data:`repro.bench.golden.GOLDEN_TRACED`).
 """
 
 from __future__ import annotations
 
-import time
+import fnmatch
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -41,9 +41,8 @@ from ..experiments.cluster import (
 )
 from ..experiments.sort import SORT_SIZES, run_sort
 from ..experiments.traced import run_traced_andrew
-from ..trace import Tracer, trace_digest
+from ..parallel import CellSpec, sweep
 from ..workloads import edit_compile
-from .suite import run_suite
 
 __all__ = [
     "WORKLOAD_SCENARIOS",
@@ -117,8 +116,7 @@ def _edit_compile_load(bed, iterations: int, file_blocks: int, hot_dir: bool = F
 
 # -- scenario runners --------------------------------------------------------
 #
-# Each runner returns a dict with ops / sim_seconds (wall timing is
-# taken by the caller around the runner).
+# Each runner returns a dict with ops / sim_seconds.
 
 
 def _run_andrew(protocol: str) -> Dict:
@@ -148,61 +146,24 @@ def _run_point(point: Callable, *args, **kwargs) -> Dict:
     return {"ops": ops, "sim_seconds": sim_seconds}
 
 
-# -- trace-digest variants ---------------------------------------------------
-
-
-def _digest_of(run_fn: Callable, *args, **kwargs) -> str:
-    """Call ``run_fn`` with the tracer armed; digest the first trace."""
-    _, tracers = Tracer.capture(partial(run_fn, *args, **kwargs))
-    return trace_digest(tracers[0])
-
-
-def andrew_digest(protocol: str) -> str:
-    """The trace digest of the two-client Andrew run (seed 1989)."""
-    return trace_digest(run_traced_andrew(protocol, seed=1989).tracer)
-
-
 # -- the suite ---------------------------------------------------------------
 
 CLUSTER_NS = (16, 64, 256)
 
-#: the large-N scaling points (full suite only): one iteration per
-#: client keeps a 4096-client simulation around a minute of wall clock
-SWEEP_NS = (1024, 4096)
 
-
-def _point_scenario(
-    name: str,
-    point: Callable,
-    kwargs: Dict,
-    variant: Optional[Dict] = None,
-    digest: bool = False,
-    **recorded,
-) -> Dict:
-    """The descriptor of a load point: ``point(**kwargs)``, timed.
-
-    ``variant`` overrides ``kwargs`` down to the small size whose trace
-    is the family's schedule oracle; the scenario that carries the
-    ``digest`` runs it.  ``recorded`` are params the document shows
-    that ``point`` takes no argument for."""
-    params = dict(kwargs, **recorded)
-    if variant is not None:
-        params["digest_variant"] = variant
+def _point_scenario(name: str, point: Callable, kwargs: Dict, **recorded) -> Dict:
+    """The descriptor of a load point: ``point(**kwargs)``.  ``recorded``
+    are params the document shows that ``point`` takes no argument for."""
     return {
         "name": name,
-        "params": params,
+        "params": dict(kwargs, **recorded),
         "run": partial(_run_point, point, **kwargs),
-        "digest": partial(_digest_of, point, **dict(kwargs, **variant))
-        if digest else None,
     }
 
 
-def _scenarios(quick: bool, extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
-    """Scenario descriptors: name, params, runner, digest thunk.
-
-    ``extra_ns`` adds opt-in ``sweep-n<N>`` points (``--n 10000``) on
-    top of the committed :data:`SWEEP_NS` sweep.
-    """
+def _scenarios(extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
+    """Scenario descriptors: name, params, runner.  ``extra_ns`` adds
+    the opt-in ``sweep-n<N>`` points (``--n 10000``)."""
     out: List[Dict] = []
     for protocol in ("nfs", "snfs"):
         out.append(
@@ -210,49 +171,32 @@ def _scenarios(quick: bool, extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
                 "name": "andrew-2client-%s" % protocol,
                 "params": {"protocol": protocol, "seed": 1989, "tree": "small"},
                 "run": partial(_run_andrew, protocol),
-                "digest": partial(andrew_digest, protocol),
             }
         )
-    sort_index = 0 if quick else -1
     out.append(
         {
             "name": "sort-external-nfs",
-            "params": {
-                "protocol": "nfs",
-                "size_index": sort_index,
-                "digest_variant": {"size_index": 0},
-            },
-            "run": partial(_run_sort, "nfs", sort_index),
-            "digest": partial(_digest_of, run_sort, "nfs", input_bytes=SORT_SIZES[0]),
+            "params": {"protocol": "nfs", "size_index": -1},
+            "run": partial(_run_sort, "nfs", -1),
         }
     )
-    cluster_ns = (16,) if quick else CLUSTER_NS
-    protocols = ("nfs", "snfs") if quick else CLUSTER_PROTOCOLS
-    for protocol in protocols:
-        for n in cluster_ns:
+    for protocol in CLUSTER_PROTOCOLS:
+        for n in CLUSTER_NS:
             out.append(
                 _point_scenario(
                     "cluster-%s-n%d" % (protocol, n),
                     cluster_point,
                     {"protocol": protocol, "n_clients": n, "iterations": 3},
-                    {"n_clients": 4, "iterations": 2},
-                    # digest one small variant per protocol (at every N
-                    # the schedule differs; the variant is the oracle)
-                    digest=n == min(cluster_ns),
                 )
             )
     # the sharded-namespace sweep: same load, N servers behind one tree
-    sharded_clients = 8 if quick else 16
-    sharded = {"protocol": "snfs", "n_clients": sharded_clients, "iterations": 3}
-    for n_shards in (1, 4) if quick else (1, 2, 4):
+    sharded = {"protocol": "snfs", "n_clients": 16, "iterations": 3}
+    for n_shards in (1, 2, 4):
         out.append(
             _point_scenario(
                 "sharded-snfs-s%d" % n_shards,
                 sharded_point,
                 dict(sharded, n_shards=n_shards),
-                {"n_shards": 2, "n_clients": 4, "iterations": 2, "seed": 11},
-                # one digest for the sweep, on a small fixed variant
-                digest=n_shards == 1,
                 strategy="subtree",
             )
         )
@@ -264,79 +208,80 @@ def _scenarios(quick: bool, extra_ns: Tuple[int, ...] = ()) -> List[Dict]:
             strategy="subtree",
         )
     )
-    # the large-N scaling sweep the process pool unlocks: committed
-    # points at 1024/4096 clients (full suite only), plus any --n
-    # opt-in sizes; the schedule oracle is one shared fixed-size
-    # variant (the sweep's parameters at toy scale), since every N runs
-    # a different schedule by definition
-    for n in (() if quick else SWEEP_NS) + tuple(extra_ns):
+    # the large-N scaling points the process pool unlocks, one
+    # iteration per client so a 4096-client run stays around a minute
+    for n in extra_ns:
         out.append(
             _point_scenario(
                 "sweep-n%d" % n,
                 cluster_point,
                 {"protocol": "snfs", "n_clients": n, "iterations": 1},
-                {"n_clients": 8, "iterations": 1},
-                digest=n in SWEEP_NS,
             )
         )
     return out
 
 
-def run_workload_cell(
-    name: str,
-    quick: bool = False,
-    digests: bool = True,
-    extra_ns: Tuple[int, ...] = (),
-) -> Dict:
+def run_workload_cell(name: str, extra_ns: Tuple[int, ...] = ()) -> Dict:
     """Run one workload scenario by name (the process-pool cell body).
 
-    The spec carries only plain data — the scenario's runner and
-    digest thunks are reconstructed here inside whichever process
-    executes the cell, so the same function serves the in-process
-    ``-j1`` path and the pool workers byte-identically.
+    The spec carries only plain data — the scenario's runner is
+    reconstructed here inside whichever process executes the cell, so
+    the same function serves the in-process ``-j1`` path and the pool
+    workers byte-identically.
     """
-    for scenario in _scenarios(quick, extra_ns=extra_ns):
+    for scenario in _scenarios(extra_ns=extra_ns):
         if scenario["name"] == name:
             break
     else:
         raise KeyError("unknown workload scenario %r" % name)
-    t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
     measured = scenario["run"]()
-    wall = time.perf_counter() - t0  # lint: ok=DET002 — wall-clock benchmark harness, not sim logic
-    digest = None
-    if digests and scenario["digest"] is not None:
-        digest = scenario["digest"]()
     return {
         "name": scenario["name"],
         "params": scenario["params"],
         "ops": measured["ops"],
         "sim_seconds": round(measured["sim_seconds"], 6),
-        "wall_seconds": round(wall, 6),
-        "ops_per_wall_s": round(measured["ops"] / wall) if wall else 0,
-        "trace_digest": digest,
     }
 
 
 def run_workload_suite(
-    quick: bool = False,
-    digests: bool = True,
     only: Optional[str] = None,
     jobs: int = 1,
     extra_ns: Tuple[int, ...] = (),
-    pool_progress=None,
+    progress=None,
     accounting: Optional[Dict] = None,
 ) -> List[Dict]:
-    """Run every workload scenario once; returns scenario result dicts.
+    """Run the workload scenarios (those matching the fnmatch pattern or
+    exact name ``only``, when given) as one pool sweep; returns their
+    result dicts in order.
 
-    ``extra_ns`` adds opt-in ``sweep-n<N>`` points; ``only``, ``jobs``,
-    ``pool_progress`` and ``accounting`` are
-    :func:`~repro.bench.suite.run_suite`'s."""
-    return run_suite(
-        "bench-workload",
-        [s["name"] for s in _scenarios(quick, extra_ns=extra_ns)],
-        {"quick": quick, "digests": digests, "extra_ns": list(extra_ns)},
-        only=only, jobs=jobs, progress=pool_progress, accounting=accounting,
-    )
+    ``extra_ns`` adds opt-in ``sweep-n<N>`` points.  ``jobs`` farms the
+    scenarios to the :mod:`repro.parallel` pool (``1`` executes
+    in-process, byte-identically); ``progress`` is the pool's
+    per-completion callback.  When ``accounting`` is a dict it receives
+    the pool timing block, the caller sees error rows there and owns
+    the exit code; a bare API call raises on the first failed scenario.
+    """
+    specs = [
+        CellSpec(
+            kind="bench-workload",
+            name=scenario["name"],
+            params={"extra_ns": list(extra_ns)},
+        )
+        for scenario in _scenarios(extra_ns=extra_ns)
+        if only is None or fnmatch.fnmatch(scenario["name"], only)
+    ]
+    rows, timing = sweep(specs, jobs=jobs, progress=progress)
+    if accounting is not None:
+        accounting.update(timing)
+    results = []
+    for row in rows:
+        if not row["error"]:
+            results.append(row["result"])
+        elif accounting is None:
+            raise RuntimeError(
+                "workload scenario %r failed: %s" % (row["name"], row["error"])
+            )
+    return results
 
 
-WORKLOAD_SCENARIOS = [s["name"] for s in _scenarios(quick=False)]
+WORKLOAD_SCENARIOS = [s["name"] for s in _scenarios()]

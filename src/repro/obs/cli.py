@@ -5,8 +5,8 @@ bottleneck-attribution table; ``--against BASE.json`` additionally
 diffs the run against a baseline with per-metric regression
 thresholds, exiting non-zero on any regression (the CI gate).
 
-:func:`obs_from_traced_run` is the bridge the bench/trace/nemesis
-wiring uses: one traced run in, one schema-valid obs document out,
+:func:`obs_from_traced_run` is the bridge ``python -m repro trace``
+uses: one traced run in, one schema-valid obs document out,
 utilization timelines synthesized post-hoc from the trace (a live
 sampler would perturb the schedule and the golden digests).
 """

@@ -1,8 +1,8 @@
 """repro.parallel: the deterministic process-pool cell runner.
 
-Every fan-out surface in this repository — the bench suites, the
-nemesis conformance matrix, the golden-digest regeneration, and the
-obs baseline emission — decomposes into independent **cells**: a
+Every fan-out surface in this repository — the bench workloads, the
+nemesis conformance matrix and the golden-digest regeneration —
+decomposes into independent **cells**: a
 pickle-safe ``(kind, name, params, seed)`` spec whose execution builds
 a fresh simulator, runs one seeded scenario, and returns a result plus
 (usually) a determinism digest.  Because every cell derives all of its
@@ -27,7 +27,7 @@ The contract:
 * every row carries the cell's wall-clock seconds; :func:`sweep` is
   :func:`run_cells` under a stopwatch and returns the rows with the
   :func:`pool_accounting` block (aggregate speedup) that the
-  ``repro-bench/1`` / ``repro-nemesis/1`` artifacts embed.
+  ``repro-nemesis/1`` artifacts embed and ``bench``/``golden`` print.
 """
 
 from .cells import (

@@ -72,18 +72,10 @@ def run_cell_spec(spec: CellSpec) -> Dict[str, Any]:
 # -- built-in kinds -----------------------------------------------------------
 
 
-def _bench_engine(spec: CellSpec):
-    from ..bench.engine_bench import run_engine_cell
-
-    scenario = run_engine_cell(spec.name, **spec.params)
-    return scenario, scenario.get("trace_digest")
-
-
 def _bench_workload(spec: CellSpec):
     from ..bench.workloads import run_workload_cell
 
-    scenario = run_workload_cell(spec.name, **spec.params)
-    return scenario, scenario.get("trace_digest")
+    return run_workload_cell(spec.name, **spec.params), None
 
 
 def _nemesis_cell(spec: CellSpec):
@@ -106,17 +98,6 @@ def _golden_traced(spec: CellSpec):
     return digests, digests[0] if digests else None
 
 
-def _obs_baseline(spec: CellSpec):
-    from ..experiments.traced import run_traced_andrew
-    from ..obs.cli import obs_from_traced_run
-
-    run = run_traced_andrew(spec.params["protocol"], seed=spec.seed)
-    doc = obs_from_traced_run(
-        run, scenario=spec.params.get("scenario", "andrew-2client")
-    )
-    return doc, doc["digest"]
-
-
 def _test_echo(spec: CellSpec):
     return dict(spec.params), spec.params.get("digest")
 
@@ -134,12 +115,10 @@ def _test_crash(spec: CellSpec):
 #: kind -> fn(spec) -> (result, digest); the ``_test-`` kinds are
 #: exercised by tests/parallel/ only
 CELL_KINDS: Dict[str, Callable[[CellSpec], Tuple[Any, Optional[Any]]]] = {
-    "bench-engine": _bench_engine,
     "bench-workload": _bench_workload,
     "nemesis-cell": _nemesis_cell,
     "golden-output": _golden_output,
     "golden-traced": _golden_traced,
-    "obs-baseline": _obs_baseline,
     "_test-echo": _test_echo,
     "_test-raise": _test_raise,
     "_test-crash": _test_crash,

@@ -1,8 +1,11 @@
-"""Tests for the BENCH_*.json schema builder, validator, and the CI
-regression gate."""
+"""Tests for the BENCH_workloads.json schema builder, validator, and the
+exact ``--check`` gate."""
 
+import copy
 import json
 import os
+from argparse import Namespace
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,197 +17,133 @@ from repro.bench import (
 )
 from repro.document import write_json
 
+COMMITTED = os.path.join(os.path.dirname(__file__), "..", "..", "BENCH_workloads.json")
 
-def _scenario(name="s", rate=1000, digest=None):
-    return {
-        "name": name,
-        "params": {"n": 10},
-        "ops": 100,
-        "sim_seconds": 1.0,
-        "wall_seconds": 0.1,
-        "events_per_sec": rate,
-        "trace_digest": digest,
-    }
+
+def _scenario(name="s", ops=100, sim_seconds=1.0):
+    return {"name": name, "params": {"n": 10}, "ops": ops, "sim_seconds": sim_seconds}
+
+
+def _committed():
+    with open(COMMITTED) as fh:
+        return json.load(fh)
 
 
 def test_bench_document_shape():
-    doc = bench_document("engine", [_scenario()], quick=True)
-    assert doc["schema"] == BENCH_SCHEMA
-    assert doc["suite"] == "engine"
-    assert doc["quick"] is True
-    assert "python" in doc["host"]
+    doc = bench_document([_scenario()])
+    assert doc == {"schema": BENCH_SCHEMA, "scenarios": [_scenario()]}
+    assert BENCH_SCHEMA == "repro-bench/2"
     assert validate_bench_document(doc) == []
 
 
 def test_validator_catches_problems():
-    doc = bench_document("engine", [_scenario()], quick=False)
-    doc["schema"] = "bogus/9"
+    doc = bench_document([_scenario()])
+    doc["schema"] = "repro-bench/1"
     assert any("schema" in p for p in validate_bench_document(doc))
 
-    doc = bench_document("neither", [_scenario()], quick=False)
-    assert any("suite" in p for p in validate_bench_document(doc))
+    for field in ("ops", "sim_seconds", "params"):
+        bad = _scenario()
+        del bad[field]
+        assert any(field in p for p in validate_bench_document(bench_document([bad])))
 
     bad = _scenario()
-    del bad["ops"]
-    doc = bench_document("engine", [bad], quick=False)
-    assert any("ops" in p for p in validate_bench_document(doc))
+    bad["ops"] = 1.5
+    assert any("ops" in p for p in validate_bench_document(bench_document([bad])))
 
-    doc = bench_document("engine", [_scenario("a"), _scenario("a")], quick=False)
+    doc = bench_document([_scenario("a"), _scenario("a")])
     assert any("duplicate" in p for p in validate_bench_document(doc))
 
-    doc = bench_document("engine", [_scenario(digest="tooshort")], quick=False)
-    assert any("trace_digest" in p for p in validate_bench_document(doc))
-
-    doc = bench_document("engine", [_scenario(digest="a" * 64)], quick=False)
-    assert validate_bench_document(doc) == []
-
-    doc = bench_document("engine", [], quick=False)
-    assert any("scenarios" in p for p in validate_bench_document(doc))
+    assert any("scenarios" in p for p in validate_bench_document(bench_document([])))
 
 
-def test_each_suite_names_its_rate_for_what_it_counts():
-    # an engine scenario's ops are scheduler events; a workload
-    # scenario's are RPCs and disk transfers, and its rate says so
-    from repro.bench import RATE_KEY
+def test_engine_cell_records_median_of_repeats(monkeypatch):
+    from repro.bench import engine_bench, run_engine_cell
 
-    assert RATE_KEY == {"engine": "events_per_sec", "workloads": "ops_per_wall_s"}
-    workload = _scenario()
-    workload["ops_per_wall_s"] = workload.pop("events_per_sec")
-    assert validate_bench_document(bench_document("workloads", [workload])) == []
-    assert validate_bench_document(bench_document("engine", [_scenario()])) == []
-    # under the other suite's name it is missing
-    problems = validate_bench_document(bench_document("workloads", [_scenario()]))
-    assert problems == ["scenarios[0] missing 'ops_per_wall_s'"]
-    problems = validate_bench_document(bench_document("engine", [workload]))
-    assert problems == ["scenarios[0] missing 'events_per_sec'"]
-    # and the gate compares the suite's own rate
-    slow = dict(workload, ops_per_wall_s=500)
-    ok, lines = compare_to_baseline(
-        bench_document("workloads", [slow]), bench_document("workloads", [workload])
+    # three repeats of 0.3, 0.1 and 0.2 s: the median, not the best or
+    # the mean, is what a noisy neighbor cannot swing
+    clock = iter([0.0, 0.3, 1.0, 1.1, 2.0, 2.2])
+    monkeypatch.setattr(
+        engine_bench, "time", SimpleNamespace(perf_counter=lambda: next(clock))
     )
-    assert not ok and "REGRESSION" in lines[0]
-
-
-def test_parallel_block_is_optional_and_validated():
-    block = {
-        "jobs": 2,
-        "cells": [{"name": "s", "kind": "bench-engine", "wall_seconds": 0.1}],
-        "total_wall_seconds": 0.1,
-        "serial_cell_seconds": 0.1,
-        "speedup": 1.0,
-    }
-    doc = bench_document("engine", [_scenario()], quick=True, parallel=block)
-    assert doc["parallel"] == block
-    assert validate_bench_document(doc) == []
-    # absent block stays absent (serial artifacts unchanged byte-for-byte)
-    plain = bench_document("engine", [_scenario()], quick=True)
-    assert "parallel" not in plain
-
-    bad = json.loads(json.dumps(doc))
-    bad["parallel"]["jobs"] = 0
-    assert any("jobs" in p for p in validate_bench_document(bad))
-    bad = json.loads(json.dumps(doc))
-    bad["parallel"]["cells"] = [{"kind": "bench-engine"}]
-    assert any("cells" in p for p in validate_bench_document(bad))
-    bad = json.loads(json.dumps(doc))
-    bad["parallel"]["speedup"] = "fast"
-    assert any("speedup" in p for p in validate_bench_document(bad))
-
-
-def test_wall_seconds_repeats_is_optional_but_typed():
-    sc = _scenario()
-    sc["wall_seconds_repeats"] = [0.1, 0.2, 0.3]
-    doc = bench_document("engine", [sc], quick=False)
-    assert validate_bench_document(doc) == []
-    sc = _scenario()
-    sc["wall_seconds_repeats"] = "not-a-list"
-    doc = bench_document("engine", [sc], quick=False)
-    assert any("wall_seconds_repeats" in p for p in validate_bench_document(doc))
-
-
-def test_engine_cell_records_median_of_repeats():
-    from repro.bench import run_engine_cell
-
     cell = run_engine_cell("event-pingpong", quick=True, repeats=3)
-    import statistics
-
-    repeats = cell["wall_seconds_repeats"]
-    assert len(repeats) == 3
-    # rounding is monotonic, so the median of the rounded repeats is the
-    # rounded raw median the cell reports
-    assert cell["wall_seconds"] == statistics.median(repeats)
-    assert cell["events_per_sec"] == pytest.approx(
-        cell["ops"] / cell["wall_seconds"], rel=1e-3
-    )
+    assert cell == {
+        "name": "event-pingpong",
+        "params": {"n": 10_000, "repeats": 3},
+        "ops": 40_000,
+        "wall_seconds": 0.2,
+    }
 
 
-def test_sweep_scenarios_present_in_full_suite_only():
-    from repro.bench.workloads import SWEEP_NS, _scenarios
+def test_sweep_scenarios_are_opt_in():
+    from repro.bench.workloads import WORKLOAD_SCENARIOS, _scenarios
 
-    full_names = [s["name"] for s in _scenarios(quick=False)]
-    quick_names = [s["name"] for s in _scenarios(quick=True)]
-    for n in SWEEP_NS:
-        assert "sweep-n%d" % n in full_names
-        assert "sweep-n%d" % n not in quick_names
-    # --n 10000 style opt-ins ride as extra scenarios without digests
-    extra = [s for s in _scenarios(quick=False, extra_ns=(10000,))
-             if s["name"] == "sweep-n10000"]
+    assert len(WORKLOAD_SCENARIOS) == 22
+    assert not any(name.startswith("sweep-") for name in WORKLOAD_SCENARIOS)
+    # --n 10000 style opt-ins ride as extra scenarios
+    extra = [s for s in _scenarios(extra_ns=(10000,)) if s["name"] == "sweep-n10000"]
     assert len(extra) == 1
-    assert extra[0]["digest"] is None
-    assert extra[0]["params"]["n_clients"] == 10000
+    assert extra[0]["params"] == {"protocol": "snfs", "n_clients": 10000, "iterations": 1}
 
 
 def test_compare_to_baseline_gate():
-    base = bench_document("engine", [_scenario("a", 1000), _scenario("b", 1000)])
-    # within tolerance: ok
-    fresh = bench_document("engine", [_scenario("a", 850), _scenario("b", 1200)])
-    ok, lines = compare_to_baseline(fresh, base, tolerance=0.20)
+    base = bench_document([_scenario("a"), _scenario("b")])
+    ok, lines = compare_to_baseline(copy.deepcopy(base), base)
     assert ok
-    assert len(lines) == 2
-    # beyond tolerance: regression
-    fresh = bench_document("engine", [_scenario("a", 700), _scenario("b", 1000)])
-    ok, lines = compare_to_baseline(fresh, base, tolerance=0.20)
+    assert [line.split() for line in lines] == [["a", "ok"], ["b", "ok"]]
+    fresh = bench_document([_scenario("a"), dict(_scenario("b"), params={"n": 11})])
+    ok, lines = compare_to_baseline(fresh, base)
     assert not ok
-    assert any("REGRESSION" in line for line in lines)
+    assert lines[1].startswith("b") and "params" in lines[1] and lines[1].endswith("CHANGED")
+
+
+def test_check_fails_on_changed_ops_or_sim_seconds():
+    # a model change shows as simulated work or time, whatever a wall
+    # clock said: one op, or one microsecond, fails the gate
+    fresh = _committed()
+    assert compare_to_baseline(fresh, _committed()) == (
+        True, ["%-24s ok" % s["name"] for s in fresh["scenarios"]],
+    )
+    for field, delta in (("ops", 1), ("sim_seconds", 1e-6)):
+        baseline = _committed()
+        row = baseline["scenarios"][-1]
+        row[field] += delta
+        ok, lines = compare_to_baseline(fresh, baseline)
+        assert not ok
+        (changed,) = [line for line in lines if line.endswith("CHANGED")]
+        assert changed.startswith(row["name"]) and field in changed
 
 
 def test_compare_reports_new_and_missing_scenarios_non_fatally():
-    base = bench_document("engine", [_scenario("old", 1000)])
-    fresh = bench_document("engine", [_scenario("new", 1000)])
-    ok, lines = compare_to_baseline(fresh, base, tolerance=0.20)
-    assert ok  # suites may grow/shrink without failing the gate
+    base = bench_document([_scenario("old")])
+    fresh = bench_document([_scenario("new")])
+    ok, lines = compare_to_baseline(fresh, base)
+    assert ok  # --only runs a subset; suites may grow
     assert any("new scenario" in line for line in lines)
     assert any("missing" in line for line in lines)
 
 
-def test_compare_gates_the_schedule_digests():
-    same, other = "a" * 64, "b" * 64
-    base = bench_document(
-        "engine", [_scenario("kept", digest=same), _scenario("undigested")]
+def test_bench_cli_checks_what_it_wrote(tmp_path, capsys):
+    from repro.bench.cli import run_bench
+
+    baseline = _committed()
+    path = str(tmp_path / "baseline.json")
+    write_json(baseline, path)
+    args = Namespace(
+        out=str(tmp_path), check=path, only="andrew-2client-nfs", jobs=1, n=None
     )
-    # match, a digest on one side only, a scenario the baseline lacks: ok
-    fresh = bench_document(
-        "engine",
-        [
-            _scenario("kept", digest=same),
-            _scenario("undigested", digest=other),
-            _scenario("added", digest=other),
-        ],
+    assert run_bench(args) == 0
+    with open(tmp_path / "BENCH_workloads.json") as fh:
+        assert json.load(fh)["scenarios"] == baseline["scenarios"][:1]
+    baseline["scenarios"][0]["ops"] += 1
+    write_json(baseline, path)
+    assert run_bench(args) == 1
+    assert "andrew-2client-nfs       ops 825 differs from baseline 826 CHANGED" in (
+        capsys.readouterr().out
     )
-    ok, lines = compare_to_baseline(fresh, base)
-    assert ok and not any("SCHEDULE CHANGED" in line for line in lines)
-    assert any("added" in line and "new scenario" in line for line in lines)
-    # mismatch: fails on its own line even though the rate is fine
-    fresh = bench_document("engine", [_scenario("kept", rate=2000, digest=other)])
-    ok, lines = compare_to_baseline(fresh, base)
-    assert not ok
-    changed = [line for line in lines if "SCHEDULE CHANGED" in line]
-    assert len(changed) == 1 and changed[0].startswith("kept")
-    assert any("kept" in line and line.endswith(" ok") for line in lines)
 
 
 def test_write_bench_document_is_deterministic(tmp_path):
-    doc = bench_document("engine", [_scenario()], quick=True)
+    doc = bench_document([_scenario()])
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     write_json(doc, p1)
     write_json(doc, p2)
@@ -215,15 +154,10 @@ def test_write_bench_document_is_deterministic(tmp_path):
 
 
 def test_committed_bench_documents_are_valid():
-    root = os.path.join(os.path.dirname(__file__), "..", "..")
-    for fname, suite in (
-        ("BENCH_engine.json", "engine"),
-        ("BENCH_workloads.json", "workloads"),
-    ):
-        path = os.path.join(root, fname)
-        if not os.path.exists(path):
-            pytest.fail("%s is not committed at the repo root" % fname)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert validate_bench_document(doc) == [], fname
-        assert doc["suite"] == suite
+    if not os.path.exists(COMMITTED):
+        pytest.fail("BENCH_workloads.json is not committed at the repo root")
+    doc = _committed()
+    assert validate_bench_document(doc) == []
+    # only simulated quantities: no wall clock, rate or host in the file
+    assert "wall" not in json.dumps(doc) and "host" not in doc
+    assert all(set(s) == {"name", "params", "ops", "sim_seconds"} for s in doc["scenarios"])

@@ -1,13 +1,12 @@
-"""Smoke tests for the benchmark suites themselves: deterministic op
-counts, stable schedule digests, and the quick workload path."""
+"""Smoke tests for the benchmark bodies themselves: deterministic op
+counts, stable golden schedule digests, and the cluster load point."""
 
 import json
 import os
 
 import pytest
 
-from repro.bench import ENGINE_SCENARIOS
-from repro.bench.engine_bench import _schedule_digest
+from repro.bench import ENGINE_SCENARIOS, compute_trace_digests
 from repro.bench.workloads import cluster_point
 from repro.sim import Simulator
 
@@ -22,20 +21,21 @@ def test_engine_scenario_ops_are_arithmetic(name):
     assert ops1 == ops2 > 0
 
 
+def _engine_digest(name):
+    (digest,) = compute_trace_digests(["engine-" + name])["engine-" + name]
+    return digest
+
+
 @pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
 def test_engine_schedule_digest_is_stable(name):
-    body, _full_n, _quick_n, digest_n = ENGINE_SCENARIOS[name]
-    d1 = _schedule_digest(name, body, digest_n)
-    d2 = _schedule_digest(name, body, digest_n)
+    d1 = _engine_digest(name)
+    d2 = _engine_digest(name)
     assert d1 == d2
     assert len(d1) == 64
 
 
 def test_engine_scenario_digests_are_distinct():
-    digests = {
-        name: _schedule_digest(name, body, digest_n)
-        for name, (body, _f, _q, digest_n) in ENGINE_SCENARIOS.items()
-    }
+    digests = {name: _engine_digest(name) for name in ENGINE_SCENARIOS}
     assert len(set(digests.values())) == len(digests)
 
 
@@ -64,20 +64,6 @@ def test_hold_chain_is_one_entry_per_uncontended_hold():
     assert next(sim._counter) == 1 + digest_n
 
 
-def test_committed_engine_digests_are_current():
-    # what CI's --check gate compares, held in Tier-1 as well: a reorder
-    # of same-instant entries changes a digest
-    with open(os.path.join(ROOT, "BENCH_engine.json")) as fh:
-        committed = {
-            s["name"]: s["trace_digest"] for s in json.load(fh)["scenarios"]
-        }
-    current = {
-        name: _schedule_digest(name, body, digest_n)
-        for name, (body, _f, _q, digest_n) in ENGINE_SCENARIOS.items()
-    }
-    assert current == committed
-
-
 def test_cluster_point_runs_every_protocol_small():
     for protocol in ("nfs", "snfs", "rfs", "kent", "lease"):
         bed, sim_seconds = cluster_point(protocol, 2, iterations=1)
@@ -94,7 +80,7 @@ def test_cluster_point_is_deterministic():
 
 
 def test_bench_history_is_one_parseable_row_per_perf_pr():
-    path = os.path.join(os.path.dirname(__file__), "..", "..", "BENCH_history.jsonl")
+    path = os.path.join(ROOT, "BENCH_history.jsonl")
     with open(path) as fh:
         rows = [json.loads(line) for line in fh]
     assert [row["pr"] for row in rows] == sorted({row["pr"] for row in rows})

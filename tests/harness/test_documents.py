@@ -40,7 +40,7 @@ def valid_documents(lint_report):
     code, text, lint_doc = lint_report
     assert code == 0, text
     return {
-        "bench": [_committed("BENCH_engine.json"), _committed("BENCH_workloads.json")],
+        "bench": [_committed("BENCH_workloads.json")],
         "obs": [_committed("OBS_andrew-nfs.json"), _committed("OBS_andrew-snfs.json")],
         "nemesis": [nemesis_document(cells, 1, timing={"jobs": 1})],
         "lint": [lint_doc],
@@ -204,7 +204,7 @@ def test_check_spec_language():
     ],
 )
 def test_write_json_bytes_equal_the_parents_writers(tmp_path, kwargs, parent_dump):
-    doc = bench_document("engine", [{"name": "s", "ops": 1, "z": None, "a": [1.5]}])
+    doc = bench_document([{"name": "s", "ops": 1, "z": None, "a": [1.5]}])
     path = write_json(doc, str(tmp_path / "new" / "dir" / "doc.json"), **kwargs)
     expected = io.StringIO()
     json.dump(doc, expected, **parent_dump)

@@ -91,12 +91,12 @@ def test_unknown_numbered_artifacts_exit_with_the_parents_message():
 def test_golden_outputs_resolve_through_the_artifact_table():
     builders = list(ARTIFACTS.values())
     assert all(build in builders for build in GOLDEN_OUTPUTS.values())
-    # the golden set is the committed one: 16 outputs + 4 traced
+    # the golden set is the committed one: 16 outputs + 19 traced
     with open(default_golden_path()) as fh:
         committed = json.load(fh)
     assert sorted(GOLDEN_OUTPUTS) == sorted(committed["outputs"])
     assert sorted(GOLDEN_TRACED) == sorted(committed["trace_digests"])
-    assert (len(GOLDEN_OUTPUTS), len(GOLDEN_TRACED)) == (16, 4)
+    assert (len(GOLDEN_OUTPUTS), len(GOLDEN_TRACED)) == (16, 19)
 
 
 def test_no_artifact_lands_unpinned():

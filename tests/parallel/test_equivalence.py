@@ -13,18 +13,10 @@ import pytest
 from repro.nemesis.matrix import cell_seed
 from repro.parallel import CellSpec, run_cells
 
-WALL_KEYS = (
-    "wall_seconds", "wall_seconds_repeats", "events_per_sec", "ops_per_wall_s",
-)
-
 
 def _stripped(row):
-    """The identity-bearing part of a row: no wall clocks anywhere."""
-    row = json.loads(json.dumps({k: v for k, v in row.items() if k not in WALL_KEYS}))
-    if isinstance(row.get("result"), dict):
-        for key in WALL_KEYS:
-            row["result"].pop(key, None)
-    return row
+    """The identity-bearing part of a row: all but its wall clock."""
+    return json.loads(json.dumps({k: v for k, v in row.items() if k != "wall_seconds"}))
 
 
 def _assert_equivalent(spec):
@@ -39,24 +31,10 @@ def _assert_equivalent(spec):
     return serial
 
 
-def test_bench_engine_cell_equivalence():
-    row = _assert_equivalent(
-        CellSpec(kind="bench-engine", name="event-pingpong", params={"quick": True, "repeats": 1})
-    )
-    assert row["result"]["name"] == "event-pingpong"
-    assert row["digest"]
-
-
 def test_bench_workload_cell_equivalence():
-    row = _assert_equivalent(
-        CellSpec(
-            kind="bench-workload",
-            name="andrew-2client-nfs",
-            params={"quick": True, "digests": True},
-        )
-    )
+    row = _assert_equivalent(CellSpec(kind="bench-workload", name="andrew-2client-nfs"))
     assert row["result"]["ops"] > 0
-    assert row["digest"]
+    assert row["digest"] is None  # the schedule oracle is golden's
 
 
 def test_nemesis_cell_equivalence():
@@ -81,19 +59,6 @@ def test_golden_output_cell_equivalence():
 def test_golden_traced_cell_equivalence():
     row = _assert_equivalent(CellSpec(kind="golden-traced", name="micro-5-3-traced"))
     assert row["digest"]
-
-
-def test_obs_baseline_cell_equivalence():
-    row = _assert_equivalent(
-        CellSpec(
-            kind="obs-baseline",
-            name="obs-andrew-nfs",
-            params={"protocol": "nfs", "scenario": "andrew-2client"},
-            seed=1989,
-        )
-    )
-    assert row["result"]["schema"] == "repro-obs/1"
-    assert row["digest"] == row["result"]["digest"]
 
 
 def test_golden_cells_match_committed_digests():

@@ -25,7 +25,7 @@ def test_cell_spec_round_trips_through_pickle():
     spec = CellSpec(
         kind="bench-workload",
         name="cluster-snfs-n16",
-        params={"quick": False, "digests": True, "extra_ns": [1024]},
+        params={"extra_ns": [1024]},
         seed=1989,
     )
     clone = pickle.loads(pickle.dumps(spec))
