@@ -23,138 +23,81 @@ Typical use::
     bed.run(workload())
 """
 
-from .experiments import (
-    PROTOCOLS,
-    Testbed,
-    andrew_table_5_1,
-    andrew_table_5_2,
-    build_testbed,
-    consistency_table,
-    figure_series,
-    render_figure,
-    run_andrew,
-    run_consistency,
-    run_sort,
-    sort_table_5_3,
-    sort_table_5_4,
-    sort_table_5_5,
-    sort_table_5_6,
-)
-from .fs import (
-    FileAttr,
-    FileHandle,
-    FileType,
-    FsError,
-    LocalFileSystem,
-    NoSuchFile,
-    OpenMode,
-    StaleHandle,
-)
-from .host import Host, HostConfig
-from .net import Network, NetworkConfig, RpcConfig, RpcEndpoint
-from .nfs import NfsClient, NfsClientConfig, NfsServer, mount_nfs
-from .kent import KentClient, KentServer, mount_kent
-from .lease import LeaseClient, LeaseServer, mount_lease
-from .proto import (
-    ConsistencyPolicy,
-    RemoteFsClient,
-    RemoteFsConfig,
-    RemoteFsServer,
-)
-from .lockd import LockClient, LockServer, LockTimeout
-from .rfs import RfsClient, RfsServer, mount_rfs
-from .sim import Simulator
-from .snfs import (
-    FileState,
-    SnfsClient,
-    SnfsClientConfig,
-    SnfsServer,
-    StateTable,
-    mount_snfs,
-)
-from .storage import BufferCache, Disk, DiskConfig
-from .workloads import (
-    AndrewBenchmark,
-    AndrewConfig,
-    ExternalSort,
-    SortConfig,
-    make_input_records,
-    make_tree,
-)
+from .lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
     # simulation & substrate
-    "Simulator",
-    "Network",
-    "NetworkConfig",
-    "RpcEndpoint",
-    "RpcConfig",
-    "Disk",
-    "DiskConfig",
-    "BufferCache",
-    "Host",
-    "HostConfig",
-    "LocalFileSystem",
+    "Simulator": ".sim",
+    "Network": ".net",
+    "NetworkConfig": ".net",
+    "RpcEndpoint": ".net",
+    "RpcConfig": ".net",
+    "Disk": ".storage",
+    "DiskConfig": ".storage",
+    "BufferCache": ".storage",
+    "Host": ".host",
+    "HostConfig": ".host",
+    "LocalFileSystem": ".fs",
     # filesystem types & errors
-    "FileAttr",
-    "FileHandle",
-    "FileType",
-    "OpenMode",
-    "FsError",
-    "NoSuchFile",
-    "StaleHandle",
+    "FileAttr": ".fs",
+    "FileHandle": ".fs",
+    "FileType": ".fs",
+    "OpenMode": ".fs",
+    "FsError": ".fs",
+    "NoSuchFile": ".fs",
+    "StaleHandle": ".fs",
     # the protocol-agnostic remote-FS core
-    "RemoteFsClient",
-    "RemoteFsServer",
-    "RemoteFsConfig",
-    "ConsistencyPolicy",
+    "RemoteFsClient": ".proto",
+    "RemoteFsServer": ".proto",
+    "RemoteFsConfig": ".proto",
+    "ConsistencyPolicy": ".proto",
     # protocols
-    "NfsServer",
-    "NfsClient",
-    "NfsClientConfig",
-    "mount_nfs",
-    "SnfsServer",
-    "SnfsClient",
-    "SnfsClientConfig",
-    "mount_snfs",
-    "StateTable",
-    "FileState",
-    "RfsServer",
-    "RfsClient",
-    "mount_rfs",
-    "KentServer",
-    "KentClient",
-    "mount_kent",
-    "LeaseServer",
-    "LeaseClient",
-    "mount_lease",
-    "LockServer",
-    "LockClient",
-    "LockTimeout",
+    "NfsServer": ".nfs",
+    "NfsClient": ".nfs",
+    "NfsClientConfig": ".nfs",
+    "mount_nfs": ".nfs",
+    "SnfsServer": ".snfs",
+    "SnfsClient": ".snfs",
+    "SnfsClientConfig": ".snfs",
+    "mount_snfs": ".snfs",
+    "StateTable": ".snfs",
+    "FileState": ".snfs",
+    "RfsServer": ".rfs",
+    "RfsClient": ".rfs",
+    "mount_rfs": ".rfs",
+    "KentServer": ".kent",
+    "KentClient": ".kent",
+    "mount_kent": ".kent",
+    "LeaseServer": ".lease",
+    "LeaseClient": ".lease",
+    "mount_lease": ".lease",
+    "LockServer": ".lockd",
+    "LockClient": ".lockd",
+    "LockTimeout": ".lockd",
     # workloads
-    "AndrewBenchmark",
-    "AndrewConfig",
-    "ExternalSort",
-    "SortConfig",
-    "make_tree",
-    "make_input_records",
+    "AndrewBenchmark": ".workloads",
+    "AndrewConfig": ".workloads",
+    "ExternalSort": ".workloads",
+    "SortConfig": ".workloads",
+    "make_tree": ".workloads",
+    "make_input_records": ".workloads",
     # experiments
-    "build_testbed",
-    "Testbed",
-    "PROTOCOLS",
-    "run_andrew",
-    "run_sort",
-    "run_consistency",
-    "andrew_table_5_1",
-    "andrew_table_5_2",
-    "sort_table_5_3",
-    "sort_table_5_4",
-    "sort_table_5_5",
-    "sort_table_5_6",
-    "figure_series",
-    "render_figure",
-    "consistency_table",
-]
+    "build_testbed": ".experiments",
+    "Testbed": ".experiments",
+    "PROTOCOLS": ".experiments",
+    "run_andrew": ".experiments",
+    "run_sort": ".experiments",
+    "run_consistency": ".experiments",
+    "andrew_table_5_1": ".experiments",
+    "andrew_table_5_2": ".experiments",
+    "sort_table_5_3": ".experiments",
+    "sort_table_5_4": ".experiments",
+    "sort_table_5_5": ".experiments",
+    "sort_table_5_6": ".experiments",
+    "figure_series": ".experiments",
+    "render_figure": ".experiments",
+    "consistency_table": ".experiments",
+})
+__all__.insert(0, "__version__")

@@ -10,19 +10,17 @@
   sanitizer the engine enables under ``REPRO_SANITIZE=1``.
 """
 
-from .linter import Finding, lint_paths, lint_source
-from .sanitizer import RuntimeFinding, Sanitizer, SanitizerError
-from .table41 import CALLBACK_LEGALITY, EXPECTED, IMPOSSIBLE, conformance_findings
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "lint_paths",
-    "lint_source",
-    "Sanitizer",
-    "SanitizerError",
-    "RuntimeFinding",
-    "conformance_findings",
-    "CALLBACK_LEGALITY",
-    "EXPECTED",
-    "IMPOSSIBLE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "Finding": ".linter",
+    "lint_paths": ".linter",
+    "lint_source": ".linter",
+    "Sanitizer": ".sanitizer",
+    "SanitizerError": ".sanitizer",
+    "RuntimeFinding": ".sanitizer",
+    "conformance_findings": ".table41",
+    "CALLBACK_LEGALITY": ".table41",
+    "EXPECTED": ".table41",
+    "IMPOSSIBLE": ".table41",
+})

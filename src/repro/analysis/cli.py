@@ -19,13 +19,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence
 
-from ..document import write_json
-from .baseline import apply_baseline, load_baseline
-from .callgraph import index_paths
-from .linter import RULES, Finding, findings, normalize_path
-from .report import lint_document
-from .table41 import conformance_findings
-
 __all__ = ["register", "run_lint", "default_target", "discover_baseline"]
 
 
@@ -57,6 +50,13 @@ def run_lint(
     json_out: Optional[str] = None,
     out=None,
 ) -> int:
+    from ..document import write_json
+    from .baseline import apply_baseline, load_baseline
+    from .callgraph import index_paths
+    from .linter import RULES, Finding, findings, normalize_path
+    from .report import lint_document
+    from .table41 import conformance_findings
+
     if not paths:
         paths = [default_target()]
         package_root = paths[0]

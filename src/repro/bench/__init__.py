@@ -17,43 +17,25 @@ Three jobs, one mechanism each:
   claims) runs.
 """
 
-from .engine_bench import ENGINE_SCENARIOS, run_engine_cell
-from .golden import (
-    GOLDEN_OUTPUTS,
-    GOLDEN_SCHEMA,
-    GOLDEN_TRACED,
-    check_golden,
-    compute_output_digests,
-    compute_trace_digests,
-    default_golden_path,
-    run_golden,
-    write_golden,
-)
-from .schema import (
-    BENCH_SCHEMA,
-    bench_document,
-    compare_to_baseline,
-    validate_bench_document,
-)
-from .workloads import WORKLOAD_SCENARIOS, run_workload_cell, run_workload_suite
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_SCENARIOS",
-    "run_engine_cell",
-    "WORKLOAD_SCENARIOS",
-    "run_workload_cell",
-    "run_workload_suite",
-    "GOLDEN_OUTPUTS",
-    "GOLDEN_SCHEMA",
-    "GOLDEN_TRACED",
-    "check_golden",
-    "compute_output_digests",
-    "compute_trace_digests",
-    "default_golden_path",
-    "run_golden",
-    "write_golden",
-    "BENCH_SCHEMA",
-    "bench_document",
-    "validate_bench_document",
-    "compare_to_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "ENGINE_SCENARIOS": ".engine_bench",
+    "run_engine_cell": ".engine_bench",
+    "WORKLOAD_SCENARIOS": ".workloads",
+    "run_workload_cell": ".workloads",
+    "run_workload_suite": ".workloads",
+    "GOLDEN_OUTPUTS": ".golden",
+    "GOLDEN_SCHEMA": ".golden",
+    "GOLDEN_TRACED": ".golden",
+    "check_golden": ".golden",
+    "compute_output_digests": ".golden",
+    "compute_trace_digests": ".golden",
+    "default_golden_path": ".golden",
+    "run_golden": ".golden",
+    "write_golden": ".golden",
+    "BENCH_SCHEMA": ".schema",
+    "bench_document": ".schema",
+    "validate_bench_document": ".schema",
+    "compare_to_baseline": ".schema",
+})

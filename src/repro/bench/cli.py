@@ -24,16 +24,15 @@ from __future__ import annotations
 import os
 import time
 
-from ..document import read_json, write_json
-from ..parallel import make_progress_printer, resolve_jobs, sweep_summary
-from .golden import check_golden, default_golden_path, write_golden
-from .schema import bench_document, compare_to_baseline, validate_bench_document
-from .workloads import run_workload_suite
-
 __all__ = ["register", "run_bench", "run_golden_cli"]
 
 
 def run_bench(args) -> int:
+    from ..document import read_json, write_json
+    from ..parallel import make_progress_printer, resolve_jobs, sweep_summary
+    from .schema import bench_document, compare_to_baseline, validate_bench_document
+    from .workloads import run_workload_suite
+
     baseline = read_json(args.check) if args.check else None
     if baseline is not None:
         problems = validate_bench_document(baseline)
@@ -79,6 +78,9 @@ def run_golden_cli(args) -> int:
     """``python -m repro golden``: pooled golden-digest check/regen.
     ``--check`` exits 1 when the model changed (an output digest differs,
     a cell errored), 2 when only trace digests moved, 0 on a match."""
+    from ..parallel import make_progress_printer, resolve_jobs, sweep_summary
+    from .golden import check_golden, default_golden_path, write_golden
+
     if args.check and args.write:
         raise SystemExit("--check and --write are mutually exclusive")
     jobs = resolve_jobs(args.jobs)

@@ -3,8 +3,6 @@ subcommands: argparse front ends over :data:`~.artifacts.ARTIFACTS`."""
 
 from __future__ import annotations
 
-from .artifacts import ALL_ARTIFACTS, ARTIFACTS
-
 __all__ = ["register", "register_all"]
 
 #: single-artifact subcommand (= artifact name) -> help line
@@ -21,6 +19,8 @@ _SUBCOMMANDS = {
 
 
 def _run_artifact(args) -> int:
+    from .artifacts import ARTIFACTS
+
     name = args.command
     if name in ("table", "figure"):  # NAME: 5.1 and 5-1 both name 5-1
         name = "%s-%s" % (name, args.name.replace(".", "-"))
@@ -46,6 +46,8 @@ def _run_artifact(args) -> int:
 
 
 def _run_all(args) -> int:
+    from .artifacts import ALL_ARTIFACTS, ARTIFACTS
+
     for i, name in enumerate(ALL_ARTIFACTS):
         if i:
             print()

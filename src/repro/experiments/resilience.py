@@ -39,7 +39,6 @@ from ..metrics import format_table
 from ..proto.config import RemoteFsConfig
 from ..workloads import make_tree
 from ..workloads.sharing import RECORD_SIZE, sharing_record
-from .andrew import stage_andrew
 from .bed import Bed, build_bed
 
 __all__ = [
@@ -207,6 +206,8 @@ def run_resilience(
     tree=None,
 ) -> ResilienceRun:
     """One Andrew run under one fault schedule, with oracle verdicts."""
+    from .andrew import stage_andrew
+
     bed = ResilienceBed(protocol, n_clients=1, seed=seed)
     bench = stage_andrew(bed, bed.kernels[0], tree or _small_tree())
     bed.run(bed.kernels[0].sync())

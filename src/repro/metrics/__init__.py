@@ -1,19 +1,16 @@
 """Measurement infrastructure: tallies, utilization sampling, reports."""
 
-from .registry import Counter, Histogram, MetricsRegistry
-from .report import format_series_table, format_strip_chart, format_table, series_to_csv
-from .tally import Tally
-from .timeseries import TimeSeries, UtilizationSampler
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Tally",
-    "MetricsRegistry",
-    "Counter",
-    "Histogram",
-    "TimeSeries",
-    "UtilizationSampler",
-    "format_table",
-    "format_strip_chart",
-    "format_series_table",
-    "series_to_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "Tally": ".tally",
+    "MetricsRegistry": ".registry",
+    "Counter": ".registry",
+    "Histogram": ".registry",
+    "TimeSeries": ".timeseries",
+    "UtilizationSampler": ".timeseries",
+    "format_table": ".report",
+    "format_strip_chart": ".report",
+    "format_series_table": ".report",
+    "series_to_csv": ".report",
+})

@@ -8,41 +8,26 @@ it and emits both a rendered table and a schema-versioned JSON
 document whose digest is stable at a fixed seed.
 """
 
-from .matrix import (
-    ALL_PROTOCOLS,
-    NEMESIS_SCHEMA,
-    NemesisCell,
-    cell_id,
-    cell_seed,
-    nemesis_document,
-    nemesis_obs_artifact,
-    render_matrix,
-    run_cell,
-    run_matrix,
-    validate_nemesis_document,
-)
-from .plans import NEMESIS_PLANS, NemesisPlanSpec, QUICK_PLANS, plan_events
-from .sharded import SHARDED_PROTOCOLS, SHARDED_ROWS
-from .workloads import NEMESIS_WORKLOADS, run_workload
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ALL_PROTOCOLS",
-    "NEMESIS_SCHEMA",
-    "NEMESIS_PLANS",
-    "NEMESIS_WORKLOADS",
-    "NemesisCell",
-    "NemesisPlanSpec",
-    "QUICK_PLANS",
-    "cell_id",
-    "cell_seed",
-    "nemesis_document",
-    "nemesis_obs_artifact",
-    "plan_events",
-    "render_matrix",
-    "run_cell",
-    "run_matrix",
-    "run_workload",
-    "validate_nemesis_document",
-    "SHARDED_PROTOCOLS",
-    "SHARDED_ROWS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "ALL_PROTOCOLS": ".matrix",
+    "NEMESIS_SCHEMA": ".matrix",
+    "NEMESIS_PLANS": ".plans",
+    "NEMESIS_WORKLOADS": ".workloads",
+    "NemesisCell": ".matrix",
+    "NemesisPlanSpec": ".plans",
+    "QUICK_PLANS": ".plans",
+    "cell_id": ".matrix",
+    "cell_seed": ".matrix",
+    "nemesis_document": ".matrix",
+    "nemesis_obs_artifact": ".matrix",
+    "plan_events": ".plans",
+    "render_matrix": ".matrix",
+    "run_cell": ".matrix",
+    "run_matrix": ".matrix",
+    "run_workload": ".workloads",
+    "validate_nemesis_document": ".matrix",
+    "SHARDED_PROTOCOLS": ".sharded",
+    "SHARDED_ROWS": ".sharded",
+})

@@ -4,16 +4,17 @@ write the ``repro-nemesis/1`` document."""
 
 from __future__ import annotations
 
-from ..document import write_json
-from ..parallel import make_progress_printer, resolve_jobs, sweep_summary
-from .matrix import nemesis_document, nemesis_obs_artifact, render_matrix, run_matrix
 from .plans import QUICK_PLANS
-from .sharded import SHARDED_PROTOCOLS, SHARDED_ROWS
 
 __all__ = ["register", "run_nemesis"]
 
 
 def run_nemesis(args) -> int:
+    from ..document import write_json
+    from ..parallel import make_progress_printer, resolve_jobs, sweep_summary
+    from .matrix import nemesis_document, nemesis_obs_artifact, render_matrix, run_matrix
+    from .sharded import SHARDED_PROTOCOLS, SHARDED_ROWS
+
     axes = {"plans": QUICK_PLANS if args.quick else None}
     if args.sharded:
         workloads, plans = zip(*SHARDED_ROWS)

@@ -30,12 +30,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..document import NUMBER, check, write_json
 from ..experiments.bed import PROTOCOL_REGISTRY
 from ..experiments.resilience import ResilienceBed, sharing_client_config
 from ..faults import FaultPlan
 from ..metrics import format_table
-from ..parallel import CellSpec, sweep
 from .plans import NEMESIS_PLANS, plan_events
 from .sharded import SHARDED_PROTOCOLS, SHARDED_ROWS
 from .workloads import NEMESIS_WORKLOADS, run_workload
@@ -213,6 +211,8 @@ def run_matrix(
     count.  ``timing`` (a dict) receives the pool's per-cell + speedup
     accounting block.
     """
+    from ..parallel import CellSpec, sweep
+
     triples = [
         (protocol, workload, plan)
         for protocol in protocols
@@ -272,6 +272,7 @@ def nemesis_obs_artifact(path: str, seed: int = 1) -> str:
     queueing.  A *separate* run (rather than instrumenting the matrix
     cells) keeps the matrix's own digests untouched by obs wiring.
     """
+    from ..document import write_json
     from ..obs import OBS_INDENT, obs_document
 
     cid = cell_id("snfs", "seq-sharing", "flaky-net")
@@ -332,29 +333,29 @@ def nemesis_document(
     return doc
 
 
-_SPEC = {
-    "schema": {NEMESIS_SCHEMA},
-    "seed": int,
-    "protocols": [str],
-    "workloads": [str],
-    "plans": [str],
-    "summary": {"pass": int, "expected": int, "fail": int},
-    "cells": [
-        {
-            "id": str, "protocol": str, "workload": str, "plan": str,
-            "seed": int, "verdict": {"pass", "expected", "fail"},
-            "elapsed": NUMBER, "violations": dict, "allowed": list,
-            "stats": dict, "fault_events": int,
-            "recovery_rejections": NUMBER,
-        }
-    ],
-    "digest": str,
-}
-
-
 def validate_nemesis_document(doc) -> List[str]:
     """Schema-check a nemesis document; returns problems (empty = valid)."""
-    problems = check(doc, _SPEC)
+    from ..document import NUMBER, check
+
+    spec = {
+        "schema": {NEMESIS_SCHEMA},
+        "seed": int,
+        "protocols": [str],
+        "workloads": [str],
+        "plans": [str],
+        "summary": {"pass": int, "expected": int, "fail": int},
+        "cells": [
+            {
+                "id": str, "protocol": str, "workload": str, "plan": str,
+                "seed": int, "verdict": {"pass", "expected", "fail"},
+                "elapsed": NUMBER, "violations": dict, "allowed": list,
+                "stats": dict, "fault_events": int,
+                "recovery_rejections": NUMBER,
+            }
+        ],
+        "digest": str,
+    }
+    problems = check(doc, spec)
     if not problems and _cells_digest(doc["cells"]) != doc["digest"]:
         # the digest must actually match the cells it claims to cover
         problems.append("digest does not match cells")

@@ -25,15 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..faults import (
-    CrashReboot,
-    DiskFault,
-    LatencyBurst,
-    LossBurst,
-    Partition,
-    SlowDisk,
-)
-
 __all__ = ["NemesisPlanSpec", "NEMESIS_PLANS", "QUICK_PLANS", "plan_events"]
 
 
@@ -57,6 +48,15 @@ def plan_events(
     server_disk: str = "server:disk0",
 ) -> Tuple:
     """The event tuple for one named plan, bound to concrete targets."""
+    from ..faults import (
+        CrashReboot,
+        DiskFault,
+        LatencyBurst,
+        LossBurst,
+        Partition,
+        SlowDisk,
+    )
+
     if name == "calm":
         return ()
     if name == "flaky-net":

@@ -10,32 +10,20 @@ the other observers) only through :mod:`repro.obs.probe`; runs are
 bit-identical to un-instrumented ones.
 """
 
-from .collector import PHASES, ObsCollector
-from .digest import LATENCY_BREAKS, QuantileDigest
-from .report import (
-    DEFAULT_THRESHOLDS,
-    OBS_INDENT,
-    OBS_SCHEMA,
-    diff_reports,
-    merge_obs_documents,
-    obs_document,
-    render_report,
-    utilization_series_from_tracer,
-    validate_obs_document,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ObsCollector",
-    "PHASES",
-    "QuantileDigest",
-    "LATENCY_BREAKS",
-    "OBS_SCHEMA",
-    "OBS_INDENT",
-    "obs_document",
-    "merge_obs_documents",
-    "validate_obs_document",
-    "render_report",
-    "diff_reports",
-    "utilization_series_from_tracer",
-    "DEFAULT_THRESHOLDS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "ObsCollector": ".collector",
+    "PHASES": ".collector",
+    "QuantileDigest": ".digest",
+    "LATENCY_BREAKS": ".digest",
+    "OBS_SCHEMA": ".report",
+    "OBS_INDENT": ".report",
+    "obs_document": ".report",
+    "merge_obs_documents": ".report",
+    "validate_obs_document": ".report",
+    "render_report": ".report",
+    "diff_reports": ".report",
+    "utilization_series_from_tracer": ".report",
+    "DEFAULT_THRESHOLDS": ".report",
+})

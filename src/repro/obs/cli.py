@@ -15,16 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..document import read_json
-from .report import (
-    diff_reports,
-    merge_obs_documents,
-    obs_document,
-    render_report,
-    utilization_series_from_tracer,
-    validate_obs_document,
-)
-
 __all__ = ["register", "obs_from_traced_run", "run_report"]
 
 
@@ -32,6 +22,8 @@ def obs_from_traced_run(run, scenario: str, interval: float = 5.0) -> Dict[str, 
     """Build an obs document from a :class:`TracedRun`-shaped result
     (needs ``.sim.obs``, ``.tracer``, ``.metrics``, ``.protocol``,
     ``.seed``)."""
+    from .report import obs_document, utilization_series_from_tracer
+
     if run.sim.obs is None:
         raise ValueError("run has no obs collector (was obs enabled?)")
     utilization = {}
@@ -51,6 +43,8 @@ def obs_from_traced_run(run, scenario: str, interval: float = 5.0) -> Dict[str, 
 def _invalid(doc, heading: str) -> bool:
     """Print ``heading`` and the first problems if ``doc`` is not a
     valid obs document."""
+    from .report import validate_obs_document
+
     problems = validate_obs_document(doc)
     if problems:
         print(heading)
@@ -65,6 +59,9 @@ def run_report(args) -> int:
     ``args.run`` names one or several documents (a parallel sweep's
     per-cell outputs); several are merged into one combined report
     before rendering and any ``--against`` comparison."""
+    from ..document import read_json
+    from .report import diff_reports, merge_obs_documents, render_report
+
     docs = []
     for path in args.run:
         docs.append(read_json(path))

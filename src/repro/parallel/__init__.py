@@ -22,38 +22,26 @@ The contract:
   completion order;
 * a **raising** cell becomes an ``error`` row (the sweep continues and
   the caller exits non-zero); a **crashed** worker process breaks the
-  pool, which is rebuilt and the unfinished cells retried — a cell
-  that kills its worker twice becomes an ``error`` row too;
+  pool, and the unfinished cells are bisected over fresh pools until
+  the one that kills its worker runs alone — only that cell is charged
+  a break, and after three it becomes an ``error`` row too;
 * every row carries the cell's wall-clock seconds; :func:`sweep` is
   :func:`run_cells` under a stopwatch and returns the rows with the
   :func:`pool_accounting` block (aggregate speedup) that the
   ``repro-nemesis/1`` artifacts embed and ``bench``/``golden`` print.
 """
 
-from .cells import (
-    CELL_KINDS,
-    CellSpec,
-    run_cell_spec,
-)
-from .pool import (
-    default_jobs,
-    make_progress_printer,
-    pool_accounting,
-    resolve_jobs,
-    run_cells,
-    sweep,
-    sweep_summary,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CELL_KINDS",
-    "CellSpec",
-    "run_cell_spec",
-    "default_jobs",
-    "make_progress_printer",
-    "pool_accounting",
-    "resolve_jobs",
-    "run_cells",
-    "sweep",
-    "sweep_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "CELL_KINDS": ".cells",
+    "CellSpec": ".cells",
+    "run_cell_spec": ".cells",
+    "default_jobs": ".pool",
+    "make_progress_printer": ".pool",
+    "pool_accounting": ".pool",
+    "resolve_jobs": ".pool",
+    "run_cells": ".pool",
+    "sweep": ".pool",
+    "sweep_summary": ".pool",
+})

@@ -99,6 +99,7 @@ def _golden_traced(spec: CellSpec):
 
 
 def _test_echo(spec: CellSpec):
+    time.sleep(spec.params.get("sleep", 0.0))
     return dict(spec.params), spec.params.get("digest")
 
 

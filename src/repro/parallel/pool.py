@@ -21,8 +21,8 @@ __all__ = [
     "make_progress_printer",
 ]
 
-#: rounds a cell may be caught in a broken pool (its own crash or a
-#: neighbor's) before it is written off as an error row
+#: pools a cell may break while it runs alone (so the crash is its
+#: own) before it is written off as an error row
 _MAX_ATTEMPTS = 3
 
 Progress = Callable[[int, int, Dict[str, Any]], None]
@@ -57,9 +57,10 @@ def run_cells(
     cell) executes in-process through the same per-cell function, so
     the serial path is byte-identical by construction.  A raising cell
     yields its error row from inside the worker; a worker that dies
-    outright breaks the pool, which is rebuilt and the unfinished
-    cells resubmitted (at most ``_MAX_ATTEMPTS`` rounds each) so one
-    poisonous cell cannot take the sweep down with it.
+    outright breaks the pool; the unfinished cells are bisected over
+    fresh pools until the poisonous one runs alone, so it cannot take
+    the sweep down with it and only it is charged the break (at most
+    ``_MAX_ATTEMPTS`` each).
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -82,13 +83,15 @@ def _run_pooled(
 
     results: List[Optional[Dict[str, Any]]] = [None] * len(specs)
     attempts = [0] * len(specs)
-    pending = list(range(len(specs)))
+    # cells to run together in one pool; the next group is the last
+    groups = [list(range(len(specs)))]
     done = 0
-    while pending:
+    while groups:
+        group = groups.pop()
         broken: List[int] = []
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(group))) as pool:
             futures = {}
-            for i in pending:
+            for i in group:
                 try:
                     futures[pool.submit(run_cell_spec, specs[i])] = i
                 except BrokenProcessPool:
@@ -105,8 +108,14 @@ def _run_pooled(
                 done += 1
                 if progress is not None:
                     progress(done, len(specs), results[i])
-        pending = []
-        for i in broken:
+        if len(broken) > 1:
+            # the cell that killed its worker is among the unfinished
+            # ones, which are bystanders until it runs alone: bisect
+            broken.sort()
+            half = len(broken) // 2
+            groups += [broken[half:], broken[:half]]
+        elif broken:
+            (i,) = broken
             attempts[i] += 1
             if attempts[i] >= _MAX_ATTEMPTS:
                 results[i] = _crash_row(specs[i], "gave up after %d pool breaks" % attempts[i])
@@ -114,7 +123,7 @@ def _run_pooled(
                 if progress is not None:
                     progress(done, len(specs), results[i])
             else:
-                pending.append(i)
+                groups.append(broken)
     return [row for row in results if row is not None]
 
 

@@ -5,28 +5,18 @@ with :func:`chrome_trace_json`, :func:`flamegraph_report`, or
 :func:`run_report`.  See docs/OBSERVABILITY.md.
 """
 
-from .tracer import Span, TraceEvent, Tracer
-from .export import (
-    chrome_trace,
-    chrome_trace_json,
-    collapsed_stacks,
-    flamegraph_report,
-    run_report,
-    trace_digest,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "TraceEvent",
-    "chrome_trace",
-    "chrome_trace_json",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "collapsed_stacks",
-    "flamegraph_report",
-    "run_report",
-    "trace_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "Tracer": ".tracer",
+    "Span": ".tracer",
+    "TraceEvent": ".tracer",
+    "chrome_trace": ".export",
+    "chrome_trace_json": ".export",
+    "write_chrome_trace": ".export",
+    "validate_chrome_trace": ".export",
+    "collapsed_stacks": ".export",
+    "flamegraph_report": ".export",
+    "run_report": ".export",
+    "trace_digest": ".export",
+})

@@ -17,17 +17,10 @@ experiment builds records a trace, then exports them all.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from ..document import write_json
-from .export import (
-    chrome_trace,
-    flamegraph_report,
-    run_report,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .tracer import Tracer
+if TYPE_CHECKING:
+    from .tracer import Tracer
 
 __all__ = ["register", "export_tracer", "trace_experiment", "run_trace"]
 
@@ -40,6 +33,15 @@ def export_tracer(
 ) -> Dict[str, object]:
     """Write the three artifacts for one tracer; returns their paths
     plus any Chrome-trace schema problems (should be none)."""
+    from ..document import write_json
+    from .export import (
+        chrome_trace,
+        flamegraph_report,
+        run_report,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+
     os.makedirs(out_dir, exist_ok=True)
     trace_path = write_chrome_trace(
         tracer, os.path.join(out_dir, "trace-%s.json" % stem)
@@ -64,6 +66,8 @@ def trace_experiment(run_fn: Callable[[], object], out_dir: str, prefix: str = "
 
     Returns ``(result, export_dicts)``.
     """
+    from .tracer import Tracer
+
     result, tracers = Tracer.capture(run_fn)
     exports = []
     for i, tracer in enumerate(tracers):
@@ -98,6 +102,7 @@ def run_trace(args) -> int:
     """Entry point for ``python -m repro trace <workload>``."""
     if args.workload != "andrew":
         raise SystemExit("unknown traced workload %r (try: andrew)" % args.workload)
+    from ..document import write_json
     from ..experiments.traced import run_traced_andrew
 
     protocols: List[str] = (

@@ -85,9 +85,9 @@ def _run_lint_on(real_tree, patch):
     """``run_lint`` with its loader replaced: the default target is the
     already-indexed :func:`real_tree` (file discovery and parsing have
     their own test, ``test_run_lint_parses_each_file_once``)."""
-    from repro.analysis import cli
+    from repro.analysis import callgraph, cli
 
-    patch.setattr(cli, "index_paths", lambda paths, package_root=None: real_tree)
+    patch.setattr(callgraph, "index_paths", lambda paths, package_root=None: real_tree)
     return cli.run_lint
 
 

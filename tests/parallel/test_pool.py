@@ -78,6 +78,19 @@ def test_crashing_worker_does_not_kill_the_sweep():
     assert "crash" in rows[1]["error"]
 
 
+def test_a_bystander_is_not_charged_for_a_crashing_neighbor():
+    """The healthy cell is still sleeping when the poison kills the
+    pool they share; only the cell that crashes alone is charged."""
+    specs = [
+        CellSpec(kind="_test-crash", name="poison"),
+        CellSpec(kind="_test-echo", name="bystander", params={"sleep": 0.5}),
+    ]
+    rows = run_cells(specs, jobs=2)
+    assert rows[0]["error"] == "worker process crashed (gave up after 3 pool breaks)"
+    assert rows[1]["error"] is None
+    assert rows[1]["result"] == {"sleep": 0.5}
+
+
 def test_progress_callback_sees_every_cell_once():
     seen = []
     run_cells(_echo_specs(4), jobs=1, progress=lambda d, t, row: seen.append((d, t, row["name"])))
