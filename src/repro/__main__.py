@@ -9,7 +9,7 @@ Usage::
     python -m repro micro                # the §5.3 microbenchmark
     python -m repro scaling              # the N-clients extension
     python -m repro ablations            # all five ablations
-    python -m repro bench                # workload sim numbers -> BENCH_workloads.json
+    python -m repro golden --check       # every fixed-seed digest vs golden.json
     python -m repro nemesis              # conformance matrix under faults
     python -m repro all                  # everything (under half a minute)
 """

@@ -1,77 +1,22 @@
-"""``python -m repro bench`` and ``python -m repro golden``.
+"""``python -m repro golden``: the one model and schedule oracle.
 
-``bench`` runs the protocol-stack workload scenarios and writes
-``BENCH_workloads.json`` (schema ``repro-bench/2``): per scenario the
-simulated work (``ops``) and simulated time (``sim_seconds``), nothing
-measured by a wall clock, so the document is byte-identical at any job
-count and ``--check`` compares it exactly::
+It recomputes every fixed-seed digest in ``tests/golden/golden.json`` —
+the paper's tables and figures, the load points' simulated work and
+time, the traced scenarios' schedules — as independent cells of the
+:mod:`repro.parallel` process pool (``--jobs``, default every core;
+``-j1`` runs in-process)::
 
-    python -m repro bench -j2                    # regenerate ./BENCH_workloads.json
-    python -m repro bench --check BENCH_workloads.json --out bench-out
-    python -m repro bench --only 'sharded-*' --n 1024 --out bench-out
+    python -m repro golden --check -j2     # exit 1 model, 2 schedule moved
+    python -m repro golden --write -j4     # after an intentional change
 
-Scenarios are independent cells executed by the :mod:`repro.parallel`
-process pool (``--jobs``, default every core); ``-j1`` runs in-process.
-A raising or crashed cell becomes an ``ERROR`` line and a non-zero
-exit, without taking the rest of the sweep down.
-
-``golden`` is the schedule oracle (every trace digest lives in
-``tests/golden/golden.json``) and ``perfbench/`` the stopwatch.
+``perfbench/`` is the stopwatch.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-__all__ = ["register", "run_bench", "run_golden_cli"]
-
-
-def run_bench(args) -> int:
-    from ..document import read_json, write_json
-    from ..parallel import make_progress_printer, resolve_jobs, sweep_summary
-    from .schema import bench_document, compare_to_baseline, validate_bench_document
-    from .workloads import run_workload_suite
-
-    baseline = read_json(args.check) if args.check else None
-    if baseline is not None:
-        problems = validate_bench_document(baseline)
-        for problem in problems:
-            print("baseline %s: %s" % (args.check, problem))
-        if problems:
-            return 1
-    accounting: dict = {}
-    scenarios = run_workload_suite(
-        only=args.only,
-        jobs=resolve_jobs(args.jobs),
-        extra_ns=tuple(args.n or ()),
-        progress=make_progress_printer("bench"),
-        accounting=accounting,
-    )
-    for s in scenarios:
-        print("  %-24s %8d ops  %12.6f sim s" % (s["name"], s["ops"], s["sim_seconds"]))
-    errors = [c for c in accounting["cells"] if c.get("error")]
-    for cell in errors:
-        print("  %-24s ERROR: %s" % (cell["name"], cell["error"]))
-    print("  " + sweep_summary(accounting))
-    if not scenarios:
-        if not errors:
-            print("no scenarios match --only %r" % args.only)
-        return 1
-    rc = 1 if errors else 0
-    doc = bench_document(scenarios)
-    for problem in validate_bench_document(doc):
-        print("schema problem: %s" % problem)
-        rc = 1
-    print("wrote %s" % write_json(doc, os.path.join(args.out, "BENCH_workloads.json")))
-    if baseline is not None:
-        ok, lines = compare_to_baseline(doc, baseline)
-        print("baseline check (%s):" % args.check)
-        for line in lines:
-            print("  " + line)
-        if not ok:
-            rc = 1
-    return rc
+__all__ = ["register", "run_golden_cli"]
 
 
 def run_golden_cli(args) -> int:
@@ -111,43 +56,6 @@ def run_golden_cli(args) -> int:
 
 
 def register(sub) -> None:
-    p_bench = sub.add_parser(
-        "bench",
-        help="simulated work and time of the workload scenarios; "
-        "write BENCH_workloads.json",
-    )
-    p_bench.add_argument(
-        "--out", metavar="DIR", default=".", help="output directory (default: .)"
-    )
-    p_bench.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_workloads.json; non-zero "
-        "exit when a scenario on both sides differs in any field",
-    )
-    p_bench.add_argument(
-        "--only",
-        metavar="SCENARIO",
-        help="run only scenarios matching this fnmatch pattern "
-        "(e.g. 'sharded-*' or an exact name)",
-    )
-    p_bench.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="worker processes for the scenario sweep (default: all "
-        "cores; 1 runs in-process with byte-identical output)",
-    )
-    p_bench.add_argument(
-        "--n",
-        type=int,
-        action="append",
-        metavar="CLIENTS",
-        help="add an opt-in sweep-n<CLIENTS> SNFS cluster point "
-        "(e.g. --n 10000; repeatable)",
-    )
-    p_bench.set_defaults(func=run_bench)
     p_golden = sub.add_parser(
         "golden",
         help="recompute the fixed-seed golden digests on the cell pool; "

@@ -6,7 +6,7 @@ synthetic event pattern through it, and reports a wall-clock rate.  The
 (not sampled from the engine) so the denominator is identical before
 and after any engine change — the rate measures the engine, nothing
 else.  :func:`run_engine_cell` is the stopwatch ``perfbench`` calibrates
-on; ``python -m repro bench`` does not run these.
+on.
 
 Every scenario also has a small fixed size at which a body records the
 exact (step, simulated-time) schedule it observed; the golden file

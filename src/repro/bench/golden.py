@@ -15,11 +15,14 @@ Two digest families:
   every name in :data:`~repro.experiments.artifacts.ARTIFACTS` but
   ``table-4-1`` (pure data, no simulation).  The rendered
   text includes simulated elapsed times and RPC counts, so any
-  behavioral drift shows up.
+  behavioral drift shows up.  The :data:`LOAD_POINTS` join them: each
+  hashes ``ops=<RPCs plus disk transfers> sim_seconds=<simulated
+  time>`` of one load point (the N-client cluster sweep, the sharded
+  namespace, the largest NFS sort).
 * **trace digests** — :func:`repro.trace.trace_digest` over the full
   causal trace of the traced scenarios (the §5.3 microbenchmark, the
   resilience scenario, the two-client Andrew run per protocol, and a
-  small fixed variant of each ``repro bench`` workload family).  A
+  small fixed variant of each load-point family).  A
   trace hashes every span and instant with timestamps, so these are
   byte-identical-schedule oracles.  The ``engine-*`` entries hash the
   (step, simulated-time) samples a pure-engine microbenchmark body
@@ -35,17 +38,20 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..document import read_json, write_json
 from ..experiments.artifacts import ARTIFACTS
+from ..experiments.cluster import CLUSTER_PROTOCOLS
+from ..experiments.memo import shared_run
+from ..experiments.scaling import cluster_point, sharded_point
 from ..experiments.sort import SORT_SIZES, run_sort
 from ..experiments.traced import run_traced_andrew
 from ..parallel import CellSpec, sweep
 from ..sim import Simulator
 from ..trace import Tracer, trace_digest
 from .engine_bench import ENGINE_SCENARIOS
-from .workloads import CLUSTER_PROTOCOLS, cluster_point, sharded_point
 
 __all__ = [
     "GOLDEN_OUTPUTS",
     "GOLDEN_TRACED",
+    "LOAD_POINTS",
     "GOLDEN_SCHEMA",
     "compute_output_digests",
     "compute_trace_digests",
@@ -71,13 +77,67 @@ _RENAMED = {
     "resilience": "resilience-seed1",
 }
 
+
+def _numbers(ops: int, sim_seconds: float) -> str:
+    return "ops=%d sim_seconds=%.6f" % (ops, sim_seconds)
+
+
+def _load_point(point: Callable, *args, **kwargs) -> str:
+    """Run :func:`~repro.experiments.scaling.cluster_point` or
+    :func:`~repro.experiments.scaling.sharded_point`: the RPCs the
+    servers served and issued plus their disk transfers, and the load's
+    simulated time."""
+    bed, sim_seconds = point(*args, **kwargs)
+    ops = bed.total_rpcs() + sum(
+        d.stats.total() for host in bed.server_hosts for d in host.disks.values()
+    )
+    return _numbers(ops, sim_seconds)
+
+
+def _sort_point() -> str:
+    """Table 5-3's largest NFS sort: its RPCs plus both hosts' disk
+    transfers, and its elapsed time."""
+    run = shared_run(run_sort, "nfs", SORT_SIZES[-1], True)
+    ops = run.rpc_rows.get("total", 0)
+    ops += sum(run.server_disk.values()) + sum(run.client_disk.values())
+    return _numbers(ops, run.result.elapsed)
+
+
+#: load point name -> zero-argument callable returning its
+#: ``ops=... sim_seconds=...`` text
+LOAD_POINTS: Dict[str, Callable[[], str]] = {
+    "sort-external-nfs": _sort_point,
+    **{
+        "cluster-%s-n%d" % (protocol, n): partial(
+            _load_point, cluster_point, protocol, n, iterations=3
+        )
+        for protocol in CLUSTER_PROTOCOLS
+        for n in (16, 64, 256)
+    },
+    # the same load, 16 clients over N servers behind one tree; the
+    # ``hotdir`` variant pins every client into one shard's directory
+    **{
+        "sharded-snfs-s%d" % n_shards: partial(
+            _load_point, sharded_point, "snfs", n_shards, 16, iterations=3
+        )
+        for n_shards in (1, 2, 4)
+    },
+    "sharded-snfs-hotdir-s4": partial(
+        _load_point, sharded_point, "snfs", 4, 16, iterations=3, hot_dir=True
+    ),
+}
+
 #: scenario name -> zero-argument callable returning the canonical text:
 #: every artifact (the resilience table at its default seed, 1) but the
-#: Table 4-1 sample, so a new artifact cannot land unpinned
+#: Table 4-1 sample, so a new artifact cannot land unpinned, and every
+#: load point
 GOLDEN_OUTPUTS: Dict[str, Callable[[], str]] = {
-    _RENAMED.get(name, name): build
-    for name, build in ARTIFACTS.items()
-    if name != "table-4-1"
+    **{
+        _RENAMED.get(name, name): build
+        for name, build in ARTIFACTS.items()
+        if name != "table-4-1"
+    },
+    **LOAD_POINTS,
 }
 
 
@@ -120,8 +180,8 @@ def _engine(name: str) -> List[str]:
 
 
 #: scenario name -> zero-argument callable returning a digest list; the
-#: workload families run fixed sizes far below their ``repro bench``
-#: points, since every N runs a different schedule by definition
+#: load-point families run fixed sizes far below their
+#: :data:`LOAD_POINTS`, since every N runs a different schedule by definition
 GOLDEN_TRACED: Dict[str, Callable[[], List[str]]] = {
     "andrew-traced-nfs": partial(_andrew, "nfs"),
     "andrew-traced-snfs": partial(_andrew, "snfs"),

@@ -1,8 +1,8 @@
 """One structural checker, one reader and one writer for every JSON
 document.
 
-Each schema-versioned artifact (``repro-bench/2``, ``repro-obs/1``,
-``repro-nemesis/1``, ``repro-lint/2``) keeps a *spec table* next to its
+Each schema-versioned artifact (``repro-obs/1``, ``repro-nemesis/1``,
+``repro-lint/2``) keeps a *spec table* next to its
 builder and validates in two steps.  :func:`check` walks any JSON value
 against the spec and reports every structural problem as a string; it
 never raises, whatever it is handed (a user may point ``repro report``

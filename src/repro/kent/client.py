@@ -84,7 +84,7 @@ class KentPolicy(ConsistencyPolicy):
             return None
         data, attr = yield from c._call(c.PROC.ACQUIRE, g.fid, bno, write)
         self._tokens[key] = "exclusive" if write else "shared"
-        c._note_server_attr(g, attr)
+        self.store_attr(g, attr)
         return data
 
     # -- open / close: nothing on the wire ---------------------------------
@@ -189,7 +189,9 @@ class KentPolicy(ConsistencyPolicy):
             )
         except (StaleHandle, NoSuchFile):
             return
-        c._note_server_attr(g, attr)
+        # an eviction write-back mid-file carries a server size short of
+        # ours while later dirty blocks remain: keep the local size
+        self.store_attr(g, attr)
 
 
 class KentClient(RemoteFsClient):

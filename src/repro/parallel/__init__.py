@@ -1,7 +1,7 @@
 """repro.parallel: the deterministic process-pool cell runner.
 
-Every fan-out surface in this repository — the bench workloads, the
-nemesis conformance matrix and the golden-digest regeneration —
+Every fan-out surface in this repository — the nemesis conformance
+matrix and the golden-digest regeneration —
 decomposes into independent **cells**: a
 pickle-safe ``(kind, name, params, seed)`` spec whose execution builds
 a fresh simulator, runs one seeded scenario, and returns a result plus
@@ -28,7 +28,7 @@ The contract:
 * every row carries the cell's wall-clock seconds; :func:`sweep` is
   :func:`run_cells` under a stopwatch and returns the rows with the
   :func:`pool_accounting` block (aggregate speedup) that the
-  ``repro-nemesis/1`` artifacts embed and ``bench``/``golden`` print.
+  ``repro-nemesis/1`` artifacts embed and ``golden`` prints.
 """
 
 from ..lazy import lazy_exports

@@ -72,12 +72,6 @@ def run_cell_spec(spec: CellSpec) -> Dict[str, Any]:
 # -- built-in kinds -----------------------------------------------------------
 
 
-def _bench_workload(spec: CellSpec):
-    from ..bench.workloads import run_workload_cell
-
-    return run_workload_cell(spec.name, **spec.params), None
-
-
 def _nemesis_cell(spec: CellSpec):
     from ..nemesis.matrix import run_cell
 
@@ -116,7 +110,6 @@ def _test_crash(spec: CellSpec):
 #: kind -> fn(spec) -> (result, digest); the ``_test-`` kinds are
 #: exercised by tests/parallel/ only
 CELL_KINDS: Dict[str, Callable[[CellSpec], Tuple[Any, Optional[Any]]]] = {
-    "bench-workload": _bench_workload,
     "nemesis-cell": _nemesis_cell,
     "golden-output": _golden_output,
     "golden-traced": _golden_traced,

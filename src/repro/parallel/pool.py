@@ -164,7 +164,7 @@ def sweep(
 ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
     """:func:`run_cells` under a stopwatch: ``(rows, accounting)``.
 
-    Every command that fans out (bench, golden, nemesis) runs its cells
+    Every command that fans out (golden, nemesis) runs its cells
     through here, so a sweep is timed and accounted one way."""
     jobs = resolve_jobs(jobs)
     t0 = time.perf_counter()  # lint: ok=DET002 — wall-clock sweep accounting, not sim logic

@@ -2,8 +2,8 @@
 
 One user's daily pattern (§2.3's server-capacity discussion): write a
 scratch file, read it back, flush one keeper, delete the scratch, think.
-The scaling table, the cluster and sharded bench sweeps all run one of
-these per client.
+The scaling table and the cluster and sharded load points all run one
+of these per client.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The pooled golden regeneration/check path (``python -m repro golden``).
 
-The real 35-cell sweep takes tens of seconds, so these tests shrink the golden
+The real 55-cell sweep takes tens of seconds, so these tests shrink the golden
 scenario registries to fast fakes and exercise the mechanics: write,
 re-check, drift detection, and the refuse-to-write-partial rule.
 """

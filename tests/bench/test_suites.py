@@ -1,13 +1,15 @@
 """Smoke tests for the benchmark bodies themselves: deterministic op
-counts, stable golden schedule digests, and the cluster load point."""
+counts, stable golden schedule digests, the engine calibration cell and
+the cluster load point."""
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench import ENGINE_SCENARIOS, compute_trace_digests
-from repro.bench.workloads import cluster_point
+from repro.experiments.scaling import cluster_point
 from repro.sim import Simulator
 
 ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
@@ -62,6 +64,24 @@ def test_hold_chain_is_one_entry_per_uncontended_hold():
     sim = Simulator()
     body(sim, digest_n, None)
     assert next(sim._counter) == 1 + digest_n
+
+
+def test_engine_cell_records_median_of_repeats(monkeypatch):
+    from repro.bench import engine_bench, run_engine_cell
+
+    # three repeats of 0.3, 0.1 and 0.2 s: the median, not the best or
+    # the mean, is what a noisy neighbor cannot swing
+    clock = iter([0.0, 0.3, 1.0, 1.1, 2.0, 2.2])
+    monkeypatch.setattr(
+        engine_bench, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+    )
+    cell = run_engine_cell("event-pingpong", quick=True, repeats=3)
+    assert cell == {
+        "name": "event-pingpong",
+        "params": {"n": 10_000, "repeats": 3},
+        "ops": 40_000,
+        "wall_seconds": 0.2,
+    }
 
 
 def test_cluster_point_runs_every_protocol_small():

@@ -51,13 +51,12 @@ def test_write_on_one_client_is_read_back_on_another(protocol, n_shards):
 
 
 def test_protocol_tuples_are_the_registry_keys():
-    from repro.bench.workloads import CLUSTER_PROTOCOLS as bench_protocols
     from repro.experiments.cluster import CLUSTER_PROTOCOLS, PROTOCOLS
     from repro.nemesis import ALL_PROTOCOLS
 
     keys = tuple(PROTOCOL_REGISTRY)
     assert keys == ("nfs", "snfs", "rfs", "kent", "lease")
-    assert CLUSTER_PROTOCOLS == bench_protocols == ALL_PROTOCOLS == keys
+    assert CLUSTER_PROTOCOLS == ALL_PROTOCOLS == keys
     assert PROTOCOLS == ("local",) + keys
 
 

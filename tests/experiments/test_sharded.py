@@ -175,7 +175,7 @@ def test_sharded_scaling_shrinks_sim_time():
     # identical work (same clients, same iterations) across more shard
     # servers must finish in less simulated time — the server CPU is
     # the bottleneck the shards split
-    from repro.bench.workloads import sharded_point
+    from repro.experiments.scaling import sharded_point
 
     _, sim_1 = sharded_point("snfs", 1, 12, iterations=2, seed=5)
     _, sim_4 = sharded_point("snfs", 4, 12, iterations=2, seed=5)

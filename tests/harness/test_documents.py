@@ -1,4 +1,4 @@
-"""The one document helper under all four validators: whatever JSON a
+"""The one document helper under all three validators: whatever JSON a
 user hands ``repro report`` (or CI hands a validator), the answer is a
 list of problem strings — never a traceback."""
 
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.report import validate_lint_document
-from repro.bench import bench_document, validate_bench_document
 from repro.document import NUMBER, MapOf, Maybe, check, write_json
 from repro.nemesis import nemesis_document, run_matrix, validate_nemesis_document
 from repro.obs import validate_obs_document
@@ -19,7 +18,6 @@ from repro.obs import validate_obs_document
 ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
 VALIDATORS = {
-    "bench": validate_bench_document,
     "obs": validate_obs_document,
     "nemesis": validate_nemesis_document,
     "lint": validate_lint_document,
@@ -33,14 +31,13 @@ def _committed(name):
 
 @pytest.fixture(scope="module")
 def valid_documents(lint_report):
-    """One valid document per schema: the committed bench and obs
-    artifacts, a fresh nemesis document and a fresh lint report."""
+    """One valid document per schema: the committed obs artifacts, a
+    fresh nemesis document and a fresh lint report."""
     cells = run_matrix(seed=1, protocols=("rfs",), workloads=("meta-churn",),
                        plans=("calm", "server-crash"))
     code, text, lint_doc = lint_report
     assert code == 0, text
     return {
-        "bench": [_committed("BENCH_workloads.json")],
         "obs": [_committed("OBS_andrew-nfs.json"), _committed("OBS_andrew-snfs.json")],
         "nemesis": [nemesis_document(cells, 1, timing={"jobs": 1})],
         "lint": [lint_doc],
@@ -107,8 +104,6 @@ def test_a_valid_document_with_one_subtree_replaced_never_raises(
     with one subtree swapped for junk reaches the nested specs and the
     semantic checks behind them."""
     doc = valid_documents[schema][0]
-    if schema == "bench":
-        doc = dict(doc, scenarios=doc["scenarios"][:2])
     paths = sorted(_paths(doc), key=repr)
     path = data.draw(st.sampled_from(paths))
     mutant = _replaced(doc, path, data.draw(json_values))
@@ -122,12 +117,6 @@ def test_the_inputs_that_raised_at_the_parent(valid_documents):
     # AttributeError: 'list' object has no attribute 'items'
     obs = dict(valid_documents["obs"][0], ops=[])
     assert validate_obs_document(obs) == ["ops is not an object"]
-    # TypeError: unhashable type: 'list'
-    bench = copy.deepcopy(valid_documents["bench"][0])
-    bench["scenarios"][0]["name"] = ["a", "list"]
-    assert validate_bench_document(bench) == [
-        "scenarios[0].name must be str, not list"
-    ]
 
 
 def test_semantic_checks_run_only_on_a_structurally_clean_document(valid_documents):
@@ -197,14 +186,14 @@ def test_check_spec_language():
     "kwargs,parent_dump",
     [
         # (write_json arguments, the json.dump arguments the parent's
-        # per-schema writer used): bench + golden, obs, nemesis + lint
+        # per-schema writer used): golden, obs, nemesis + lint
         ({}, dict(indent=2, sort_keys=True)),
         (dict(indent=1), dict(indent=1, sort_keys=True)),
         (dict(sort_keys=False), dict(indent=2)),
     ],
 )
 def test_write_json_bytes_equal_the_parents_writers(tmp_path, kwargs, parent_dump):
-    doc = bench_document([{"name": "s", "ops": 1, "z": None, "a": [1.5]}])
+    doc = {"schema": "s/1", "rows": [{"name": "s", "ops": 1, "z": None, "a": [1.5]}]}
     path = write_json(doc, str(tmp_path / "new" / "dir" / "doc.json"), **kwargs)
     expected = io.StringIO()
     json.dump(doc, expected, **parent_dump)

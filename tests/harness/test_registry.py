@@ -8,13 +8,19 @@ import sys
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.bench.golden import GOLDEN_OUTPUTS, GOLDEN_TRACED, default_golden_path
+from repro.bench.golden import (
+    GOLDEN_OUTPUTS,
+    GOLDEN_TRACED,
+    LOAD_POINTS,
+    default_golden_path,
+)
 from repro.experiments.artifacts import ALL_ARTIFACTS, ARTIFACTS
+from repro.experiments.cluster import CLUSTER_PROTOCOLS
 
-#: what ``python -m repro --help`` listed at the parent commit, in order
+#: what ``python -m repro --help`` lists, in order
 PARENT_SUBCOMMANDS = [
     "list", "table", "figure", "consistency", "micro", "scaling", "lifetimes",
-    "readpatterns", "blocksharing", "ablations", "resilience", "trace", "bench",
+    "readpatterns", "blocksharing", "ablations", "resilience", "trace",
     "golden", "nemesis", "report", "lint", "all",
 ]
 
@@ -89,14 +95,15 @@ def test_unknown_numbered_artifacts_exit_with_the_parents_message():
 
 
 def test_golden_outputs_resolve_through_the_artifact_table():
-    builders = list(ARTIFACTS.values())
+    builders = list(ARTIFACTS.values()) + list(LOAD_POINTS.values())
     assert all(build in builders for build in GOLDEN_OUTPUTS.values())
-    # the golden set is the committed one: 16 outputs + 19 traced
+    # the golden set is the committed one: 16 artifacts + 20 load points
+    # as outputs, 19 traced
     with open(default_golden_path()) as fh:
         committed = json.load(fh)
     assert sorted(GOLDEN_OUTPUTS) == sorted(committed["outputs"])
     assert sorted(GOLDEN_TRACED) == sorted(committed["trace_digests"])
-    assert (len(GOLDEN_OUTPUTS), len(GOLDEN_TRACED)) == (16, 19)
+    assert (len(GOLDEN_OUTPUTS), len(GOLDEN_TRACED)) == (36, 19)
 
 
 def test_no_artifact_lands_unpinned():
@@ -105,6 +112,16 @@ def test_no_artifact_lands_unpinned():
     pinned = [b for b in ARTIFACTS.values() if b in GOLDEN_OUTPUTS.values()]
     unpinned = [n for n, b in ARTIFACTS.items() if b not in pinned]
     assert unpinned == ["table-4-1"]
+
+
+def test_no_load_point_lands_unpinned():
+    """Every protocol's cluster sweep, the sharded namespace and the
+    largest NFS sort are golden outputs, so a protocol added to the
+    registry brings its load points with it."""
+    cluster = ["cluster-%s-n%d" % (p, n) for p in CLUSTER_PROTOCOLS for n in (16, 64, 256)]
+    sharded = ["sharded-snfs-s1", "sharded-snfs-s2", "sharded-snfs-s4", "sharded-snfs-hotdir-s4"]
+    assert sorted(LOAD_POINTS) == sorted(cluster + sharded + ["sort-external-nfs"])
+    assert all(GOLDEN_OUTPUTS[name] is run for name, run in LOAD_POINTS.items())
 
 
 def test_import_repro_loads_no_harness_module():

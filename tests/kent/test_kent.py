@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.sort import SORT_SIZES, run_sort
 from repro.fs import OpenMode
 from repro.host import Host, HostConfig
 from repro.kent import KPROC, KentClient, KentServer
@@ -195,3 +196,11 @@ def test_delete_cancels_and_releases(runner, world):
     assert world.rpc(KPROC.WRITE) == 0  # delete-before-writeback again
     assert world.clients[0].cache.dirty_count() == 0
     assert len(world.mounts[0]._tokens) == 0
+
+
+@pytest.mark.parametrize("size", SORT_SIZES)
+def test_sort_reads_back_what_it_wrote_under_cache_pressure(size):
+    # the largest sort evicts dirty blocks mid-file: the write-back's
+    # reply carries a server size short of the client's, which must not
+    # shrink the local size while later dirty blocks remain
+    assert run_sort("kent", size).output_ok

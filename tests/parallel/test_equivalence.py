@@ -31,10 +31,9 @@ def _assert_equivalent(spec):
     return serial
 
 
-def test_bench_workload_cell_equivalence():
-    row = _assert_equivalent(CellSpec(kind="bench-workload", name="andrew-2client-nfs"))
-    assert row["result"]["ops"] > 0
-    assert row["digest"] is None  # the schedule oracle is golden's
+def test_load_point_cell_equivalence():
+    row = _assert_equivalent(CellSpec(kind="golden-output", name="cluster-nfs-n16"))
+    assert row["result"] == row["digest"]
 
 
 def test_nemesis_cell_equivalence():

@@ -23,9 +23,9 @@ def _echo_specs(n):
 
 def test_cell_spec_round_trips_through_pickle():
     spec = CellSpec(
-        kind="bench-workload",
-        name="cluster-snfs-n16",
-        params={"extra_ns": [1024]},
+        kind="nemesis-cell",
+        name="snfs/seq-sharing/flaky-net",
+        params={"protocol": "snfs", "workload": "seq-sharing", "plan": "flaky-net"},
         seed=1989,
     )
     clone = pickle.loads(pickle.dumps(spec))
