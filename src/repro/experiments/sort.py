@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from ..fs.types import OpenMode
 from ..metrics import format_table
 from ..workloads import ExternalSort, SortConfig, SortResult, make_input_records
+from ..workloads.sort import split_records
 from .cluster import build_testbed
 from .memo import shared_run
 from .window import Window, rpc_rows_table
@@ -103,8 +104,6 @@ def run_sort(
 
 
 def _check_sorted(k, path: str, input_data: bytes):
-    from ..workloads.sort import RECORD_LEN
-
     fd = yield from k.open(path, OpenMode.READ)
     chunks = []
     while True:
@@ -113,12 +112,7 @@ def _check_sorted(k, path: str, input_data: bytes):
             break
         chunks.append(data)
     yield from k.close(fd)
-    blob = b"".join(chunks)
-    records = [blob[i:i + RECORD_LEN] for i in range(0, len(blob), RECORD_LEN)]
-    expected = sorted(
-        input_data[i:i + RECORD_LEN] for i in range(0, len(input_data), RECORD_LEN)
-    )
-    return records == expected
+    return split_records(b"".join(chunks)) == sorted(split_records(input_data))
 
 
 # -- table builders ------------------------------------------------------------

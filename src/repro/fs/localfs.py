@@ -339,6 +339,13 @@ class LocalFileSystem:
         yield from self._load(inum)
         return self._attr(inum)
 
+    def inode(self, inum: int):
+        """Coroutine: the live in-core inode, at the cost of ``getattr``
+        but without copying it into a ``FileAttr``; read its fields at
+        once, as they change across later yields."""
+        yield from self._load(inum)
+        return self._inode(inum)
+
     def _attr(self, inum: int) -> FileAttr:
         inode = self._inode(inum)
         return FileAttr(

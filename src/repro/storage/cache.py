@@ -152,7 +152,7 @@ class BufferCache:
         """
         key = (file_key, block_no)
         buf = self._buffers.get(key)
-        if buf is None:
+        if buf is None and len(self._buffers) >= self.capacity:
             yield from self._make_room()
             buf = self._buffers.get(key)
             if buf is not None and not dirty and (buf.dirty or buf.busy):

@@ -47,8 +47,8 @@ class LocalMount(FileSystemType):
 
     def lookup(self, dirg: Gnode, name: str):
         inum = yield from self.lfs.lookup(dirg.fid, name)
-        attr = yield from self.lfs.getattr(inum)
-        return self.gnode_for(inum, attr.ftype)
+        inode = yield from self.lfs.inode(inum)
+        return self.gnode_for(inum, inode.ftype)
 
     def create(self, dirg: Gnode, name: str, mode: int = 0o644):
         inum = yield from self.lfs.create(dirg.fid, name, mode)
@@ -122,13 +122,13 @@ class LocalMount(FileSystemType):
     # -- data ---------------------------------------------------------------
 
     def read(self, g: Gnode, offset: int, count: int):
-        attr = yield from self.lfs.getattr(g.fid)
+        inode = yield from self.lfs.inode(g.fid)
         data = yield from cached_read(
             self.cache,
             g,
             offset,
             count,
-            file_size=attr.size,
+            file_size=inode.size,
             block_size=self.lfs.block_size,
             fill_fn=lambda bno: self.lfs.read_block(g.fid, bno),
             readahead=self.readahead,
@@ -137,13 +137,13 @@ class LocalMount(FileSystemType):
         return data
 
     def write(self, g: Gnode, offset: int, data: bytes):
-        attr = yield from self.lfs.getattr(g.fid)
+        inode = yield from self.lfs.inode(g.fid)
         yield from cached_write(
             self.cache,
             g,
             offset,
             data,
-            file_size=attr.size,
+            file_size=inode.size,
             block_size=self.lfs.block_size,
             fill_fn=lambda bno: self.lfs.read_block(g.fid, bno),
             mark_dirty=True,  # delayed write: the Unix policy

@@ -222,3 +222,32 @@ def test_lseek_and_partial_reads(runner, host):
         return data
 
     assert runner.run(scenario()) == b"456"
+
+
+@pytest.mark.parametrize("op", ["lookup", "read", "write"])
+def test_a_cold_inode_costs_one_metadata_read(runner, host, op):
+    """lookup, read and write pay getattr's cold-metadata charge: one
+    disk read the first time the inode is touched, none after."""
+    k = host.kernel
+    mount = k.mount_by_id("rootfs")
+    lfs = mount.lfs
+
+    def stage():
+        fd = yield from k.open("/f", OpenMode.WRITE, create=True)
+        yield from k.write(fd, b"x" * 100)
+        yield from k.close(fd)
+        yield from k.sync()  # the data block stays cached, clean
+
+    runner.run(stage())
+    g = runner.run(mount.lookup(mount.root(), "f"))
+    lfs.crash_volatile()  # every inode but the root is cold again
+    call = {
+        "lookup": lambda: mount.lookup(mount.root(), "f"),
+        "read": lambda: mount.read(g, 0, 100),
+        "write": lambda: mount.write(g, 0, b"y"),
+    }[op]
+    before = lfs.disk.stats.get("reads")
+    runner.run(call())
+    assert lfs.disk.stats.get("reads") == before + 1
+    runner.run(call())
+    assert lfs.disk.stats.get("reads") == before + 1

@@ -152,3 +152,21 @@ def test_external_sort_single_run_no_merge(runner, host):
     result = runner.run(scenario())
     assert result.runs == 1
     assert result.merge_passes == 0
+
+
+def test_external_sort_of_an_empty_input_writes_an_empty_output(runner, host):
+    k = host.kernel
+
+    def scenario():
+        yield from k.mkdir("/tmpdir")
+        fd = yield from k.open("/unsorted", OpenMode.WRITE, create=True)
+        yield from k.close(fd)
+        result = yield from ExternalSort(k, "/unsorted", "/sorted", "/tmpdir").run()
+        attr = yield from k.stat("/sorted")
+        leftovers = yield from k.readdir("/tmpdir")
+        return result, attr.size, leftovers
+
+    result, size, leftovers = runner.run(scenario())
+    assert (result.runs, result.merge_passes, result.temp_bytes_written) == (0, 0, 0)
+    assert size == 0
+    assert leftovers == []
